@@ -4,7 +4,7 @@ The map sends the tilings of an n-board and an (n-2)-board onto three
 copies of the (n-1)-board tilings, exactly up to two all-bifence tilings
 whose side depends on the parity of n.
 
-All rewrites operate on the placement list (tiles to the right of the site
+All rewrites are splices of the encoding (tiles to the right of the site
 translate by two half-cells) and the result is re-validated, so an invalid
 rewrite can never slip through as a malformed encoding.
 """
@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .core import (
-    InvalidTilingError,
-    TileKind,
-    TilePlacement,
-    Tiling,
-    enumerate_tilings,
-)
+from .core import InvalidTilingError, Tiling, enumerate_tilings, validate
 
 
 class BijectionDomainError(ValueError):
@@ -48,23 +42,7 @@ class CassiniImage:
     exception: Optional[AllBifenceException] = None
 
 
-def _half_square(pos: int) -> TilePlacement:
-    return TilePlacement(pos, TileKind.HALF_SQUARE)
-
-
-def _fence(pos: int) -> TilePlacement:
-    return TilePlacement(pos, TileKind.FENCE)
-
-
-def _shift(placements, threshold: int, delta: int):
-    """Translate every placement at or beyond threshold by delta half-cells."""
-    return [
-        TilePlacement(p.pos + delta, p.kind) if p.pos >= threshold else p
-        for p in placements
-    ]
-
-
-def _contract_at_h(placements, enc: str, p: int) -> list[TilePlacement]:
+def _contract_at_h(enc: str, p: int) -> str:
     """Board-shortening rewrite at the h at half-cell p.
 
     Captured h: the filled fence around it collapses to a single h.
@@ -73,20 +51,14 @@ def _contract_at_h(placements, enc: str, p: int) -> list[TilePlacement]:
     half-cells.  Shared by the fence-ending map and the third-copy map.
     """
     if p >= 1 and enc[p - 1] == "L":
-        out = [q for q in placements if q.pos not in (p - 1, p)]
-        out = _shift(out, p + 2, -2)
-        out.append(_half_square(p - 1))
-        return out
+        return enc[: p - 1] + "h" + enc[p + 2 :]
     if enc[p + 1 : p + 5] != "LLRR":
         # theorem of the model: right of the last free h there are only
         # interlocking bifences, so this must never trigger on valid input
         raise BijectionDomainError(
             f"free h at {p} is not followed by a bifence in {enc!r}"
         )
-    out = [q for q in placements if q.pos not in (p, p + 1, p + 2)]
-    out = _shift(out, p + 5, -2)
-    out.extend([_fence(p), _half_square(p + 1)])
-    return out
+    return enc[:p] + "LhR" + enc[p + 5 :]
 
 
 def b_map(t: Tiling) -> Tiling:
@@ -101,14 +73,9 @@ def b_map(t: Tiling) -> Tiling:
         raise BijectionDomainError("tiling contains no half-square")
     if enc[-1] != "R":
         raise BijectionDomainError("tiling does not end in a fence")
-    n = t.board.n
     if enc.endswith("LhR"):
-        end = len(enc)
-        out = [q for q in t.placements if q.pos < end - 3]
-        out.append(_half_square(end - 3))
-    else:  # ends in a bifence
-        out = _contract_at_h(t.placements, enc, enc.rfind("h"))
-    return Tiling.from_placements(n - 1, out)
+        return validate(enc[:-3] + "h")
+    return validate(_contract_at_h(enc, enc.rfind("h")))  # ends in a bifence
 
 
 def b_inverse(u: Tiling) -> Tiling:
@@ -116,24 +83,14 @@ def b_inverse(u: Tiling) -> Tiling:
     enc = u.encoding
     if "h" not in enc:
         raise BijectionDomainError("all-bifence tiling has no preimage")
-    n = u.board.n
     if enc[-1] == "h":
-        end = len(enc)
-        out = [q for q in u.placements if q.pos != end - 1]
-        out.extend([_fence(end - 1), _half_square(end)])
-    else:
-        q = enc.rfind("h")
-        if q >= 1 and enc[q - 1] == "L":
-            # captured: the filled fence re-expands to h plus a bifence
-            out = [x for x in u.placements if x.pos not in (q - 1, q)]
-            out = _shift(out, q + 2, 2)
-            out.extend([_half_square(q - 1), _fence(q), _fence(q + 1)])
-        else:
-            # free: the h re-expands to a filled fence
-            out = [x for x in u.placements if x.pos != q]
-            out = _shift(out, q + 1, 2)
-            out.extend([_fence(q), _half_square(q + 1)])
-    return Tiling.from_placements(n + 1, out)
+        return validate(enc[:-1] + "LhR")
+    q = enc.rfind("h")
+    if q >= 1 and enc[q - 1] == "L":
+        # captured: the filled fence re-expands to h plus a bifence
+        return validate(enc[: q - 1] + "hLLRR" + enc[q + 2 :])
+    # free: the h re-expands to a filled fence
+    return validate(enc[:q] + "LhR" + enc[q + 1 :])
 
 
 def cassini_partition(t: Tiling) -> CassiniImage:
@@ -144,25 +101,22 @@ def cassini_partition(t: Tiling) -> CassiniImage:
     second-rightmost h, keeping the final h (third copy).  The all-bifence
     tiling of an even board fits nowhere and is reported as the exception.
     """
-    n = t.board.n
-    if n < 2:
-        raise ValueError("partition needs a board of length at least 2")
     enc = t.encoding
+    if len(enc) < 4:
+        raise ValueError("partition needs a board of length at least 2")
     if "h" not in enc:
         return CassiniImage(None, None, AllBifenceException.SOURCE)
     if enc.endswith("hh"):
-        out = [p for p in t.placements if p.pos < 2 * n - 2]
-        return CassiniImage(TargetCopy.FIRST, Tiling.from_placements(n - 1, out))
+        return CassiniImage(TargetCopy.FIRST, validate(enc[:-2]))
     if enc[-1] == "R":
         return CassiniImage(TargetCopy.SECOND, b_map(t))
     # ends in a free h that is not part of an h^2 metatile
-    p = enc.rfind("h", 0, 2 * n - 1)
+    p = enc.rfind("h", 0, len(enc) - 1)
     if p < 0:
         # impossible: fences cover an even number of half-cells, so a lone
         # trailing h forces a second h somewhere to its left
         raise InvalidTilingError(f"no second h in {enc!r}")
-    out = _contract_at_h(list(t.placements), enc, p)
-    return CassiniImage(TargetCopy.THIRD, Tiling.from_placements(n - 1, out))
+    return CassiniImage(TargetCopy.THIRD, validate(_contract_at_h(enc, p)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Thin adapters only: every subcommand calls straight into the library.
 Exit status 0 on success / all-pass, 1 on verification failure, 2 on
-usage or parse errors.
+usage, input or I/O errors.
 """
 
 from __future__ import annotations
@@ -123,11 +123,22 @@ def _cmd_render(args) -> int:
         return 2
     text = render(t, RenderSpec(format=args.format))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream tilings of an n-board")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--filter", default="none", choices=sorted(_FILTERS))
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=non_negative_int, default=None)
     p.add_argument("--format", default="text", choices=["text", "jsonl"])
     p.set_defaults(func=_cmd_enumerate)
 

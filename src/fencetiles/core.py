@@ -71,26 +71,43 @@ class TilePlacement:
         return (self.pos, self.pos + 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Tiling:
-    """An exact cover of a board's half-cells, placements sorted by position."""
+    """A tiling of an n-board, held as its encoding split into metatiles.
 
-    board: Board
-    placements: tuple[TilePlacement, ...]
+    ``pieces`` are the metatile encodings from left to right and
+    ``encoding`` is their concatenation; ``placements`` is derived from it.
+    The constructor trusts its pieces: build tilings from outside input
+    with validate (Tiling.from_encoding) or Tiling.from_placements.
+    """
 
-    @cached_property
-    def encoding(self) -> str:
-        out = [""] * self.board.half_cells
-        for p in self.placements:
-            if p.kind is TileKind.HALF_SQUARE:
-                out[p.pos] = "h"
-            else:
-                out[p.pos] = "L"
-                out[p.pos + 2] = "R"
-        return "".join(out)
+    pieces: tuple[str, ...]
+
+    def __init__(self, pieces: tuple[str, ...]) -> None:
+        # frozen: write the field, and prime the encoding, past __setattr__
+        d = self.__dict__
+        d["pieces"] = pieces
+        d["encoding"] = "".join(pieces)
 
     def __str__(self) -> str:
         return self.encoding
+
+    @cached_property
+    def encoding(self) -> str:
+        return "".join(self.pieces)
+
+    @property
+    def board(self) -> Board:
+        return Board(len(self.encoding) // 2)
+
+    @cached_property
+    def placements(self) -> tuple[TilePlacement, ...]:
+        """One placement per tile, sorted by position."""
+        return tuple(
+            TilePlacement(p, TileKind.HALF_SQUARE if c == "h" else TileKind.FENCE)
+            for p, c in enumerate(self.encoding)
+            if c != "R"
+        )
 
     @classmethod
     def from_encoding(cls, encoding: str) -> "Tiling":
@@ -100,7 +117,7 @@ class Tiling:
     def from_placements(cls, n: int, placements) -> "Tiling":
         """Build a tiling from placements, checking the exact-cover invariant."""
         board = Board(n)
-        ordered = tuple(sorted(placements, key=lambda p: p.pos))
+        ordered = sorted(placements, key=lambda p: p.pos)
         seen: set[int] = set()
         for p in ordered:
             for c in p.covered():
@@ -114,7 +131,24 @@ class Tiling:
         if len(seen) != board.half_cells:
             missing = min(set(range(board.half_cells)) - seen)
             raise InvalidTilingError(f"half-cell {missing} is uncovered")
-        return cls(board, ordered)
+        out = ["h"] * board.half_cells
+        for p in ordered:
+            if p.kind is TileKind.FENCE:
+                out[p.pos], out[p.pos + 2] = "L", "R"
+        return cls(_split("".join(out)))
+
+
+def _split(encoding: str) -> tuple[str, ...]:
+    """Cut a valid encoding into metatiles at every integer boundary 2k no
+    fence spans; a fence spans it exactly when its left post sits at 2k-2
+    or 2k-1.  The last cell holds no left post, so the final cut is 2n."""
+    pieces = []
+    start = 0
+    for k in range(2, len(encoding) + 1, 2):
+        if encoding[k - 2] != "L" and encoding[k - 1] != "L":
+            pieces.append(encoding[start:k])
+            start = k
+    return tuple(pieces)
 
 
 def validate(encoding: str) -> Tiling:
@@ -127,21 +161,34 @@ def validate(encoding: str) -> Tiling:
     unknown = set(encoding) - ALPHABET
     if unknown:
         raise InvalidTilingError(f"unknown symbols {sorted(unknown)!r}")
-    n = len(encoding) // 2
-    placements = []
     for p, c in enumerate(encoding):
-        if c == "h":
-            placements.append(TilePlacement(p, TileKind.HALF_SQUARE))
-        elif c == "L":
+        if c == "L":
             if p + 2 >= len(encoding):
                 raise InvalidTilingError(f"fence at {p} overhangs the board end")
             if encoding[p + 2] != "R":
                 raise InvalidTilingError(f"L at {p} has no matching R at {p + 2}")
-            placements.append(TilePlacement(p, TileKind.FENCE))
-        else:  # R
+        elif c == "R":
             if p < 2 or encoding[p - 2] != "L":
                 raise InvalidTilingError(f"R at {p} has no matching L at {p - 2}")
-    return Tiling(Board(n), tuple(placements))
+    return Tiling(_split(encoding))
+
+
+def _metatile(lead: str, length_cells: int) -> str:
+    """The metatile of the given length that starts with lead, 'h' or 'LhR':
+    interlocking bifences, closed by an 'h' or 'LhR' that fixes the length."""
+    rest = 2 * length_cells - len(lead)
+    return lead + "LLRR" * (rest // 4) + ("h" if rest % 4 == 1 else "LhR")
+
+
+def _candidates(cells: int) -> Iterator[str]:
+    """Every metatile of at most `cells` cells, in encoding order: LLRR,
+    then those starting LhR, then those starting h, each family from the
+    longest to the shortest (a longer bifence chain sorts first)."""
+    if cells >= 2:
+        yield "LLRR"
+    for lead, shortest in (("LhR", 2), ("h", 1)):
+        for length in range(cells, shortest - 1, -1):
+            yield _metatile(lead, length)
 
 
 def enumerate_tilings(
@@ -149,36 +196,36 @@ def enumerate_tilings(
 ) -> Iterator[Tiling]:
     """Yield every tiling of an n-board once, in lexicographic encoding order.
 
-    Depth-first placement at the lowest uncovered half-cell, branching on a
-    fence with its left post there and then a half-square there ('L' < 'h',
-    so the fence branch comes first).  Streaming: nothing is materialized.
+    An iterative walk over metatile sequences: a stack holds one candidate
+    iterator per metatile placed.  Metatiles form a prefix-free code, so
+    taking candidates in encoding order yields the tilings in encoding
+    order.  State is O(n); nothing is materialized.
     """
-    board = Board(n)
-    half = 2 * n
-    slots = [False] * half
-    placements: list[TilePlacement] = []
-
-    def walk(p: int) -> Iterator[Tiling]:
-        while p < half and slots[p]:
-            p += 1
-        if p == half:
-            t = Tiling(board, tuple(placements))
-            if tile_filter is None or tile_filter(t):
-                yield t
-            return
-        if p + 2 < half and not slots[p + 2]:
-            slots[p] = slots[p + 2] = True
-            placements.append(TilePlacement(p, TileKind.FENCE))
-            yield from walk(p + 1)
-            placements.pop()
-            slots[p] = slots[p + 2] = False
-        slots[p] = True
-        placements.append(TilePlacement(p, TileKind.HALF_SQUARE))
-        yield from walk(p + 1)
-        placements.pop()
-        slots[p] = False
-
-    yield from walk(0)
+    Board(n)
+    if n == 0:
+        t = Tiling(())
+        if tile_filter is None or tile_filter(t):
+            yield t
+        return
+    pieces: list[str] = []
+    frames = [_candidates(n)]
+    left = n
+    while frames:
+        piece = next(frames[-1], None)
+        if piece is None:
+            frames.pop()
+            if pieces:
+                left += len(pieces.pop()) // 2
+            continue
+        size = len(piece) // 2
+        if size < left:
+            pieces.append(piece)
+            left -= size
+            frames.append(_candidates(left))
+            continue
+        t = Tiling((*pieces, piece))
+        if tile_filter is None or tile_filter(t):
+            yield t
 
 
 def count_tilings(
@@ -232,13 +279,8 @@ def metatile_encodings(length_cells: int) -> tuple[str, ...]:
         raise ValueError("metatile length must be positive")
     if length_cells == 1:
         return ("hh",)
-    if length_cells == 2:
-        return ("LLRR", "hLhR", "LhRh")
-    if length_cells % 2:
-        j = (length_cells - 1) // 2
-        return ("h" + "LLRR" * j + "h", "LhR" + "LLRR" * (j - 1) + "LhR")
-    j = (length_cells - 2) // 2
-    return ("h" + "LLRR" * j + "LhR", "LhR" + "LLRR" * j + "h")
+    pair = (_metatile("h", length_cells), _metatile("LhR", length_cells))
+    return ("LLRR", *pair) if length_cells == 2 else pair
 
 
 def is_metatile(encoding: str) -> bool:
@@ -248,25 +290,16 @@ def is_metatile(encoding: str) -> bool:
 
 
 def decompose(t: Tiling) -> list[MetatileOccurrence]:
-    """Split a tiling into its metatiles.
+    """Split a tiling into its metatiles, read off the tiling's pieces.
 
-    A cut happens at every integer boundary 2k no fence spans; a fence spans
-    the boundary exactly when its left post sits at 2k-2 or 2k-1.
     Concatenating the segment encodings recreates the tiling's encoding.
     """
-    n = t.board.n
-    if n == 0:
-        return []
-    enc = t.encoding
-    cuts = [0]
-    for k in range(1, n):
-        if enc[2 * k - 2] != "L" and enc[2 * k - 1] != "L":
-            cuts.append(2 * k)
-    cuts.append(2 * n)
-    return [
-        MetatileOccurrence(a // 2, Metatile(enc[a:b]))
-        for a, b in zip(cuts, cuts[1:])
-    ]
+    out = []
+    cell = 0
+    for piece in t.pieces:
+        out.append(MetatileOccurrence(cell, Metatile(piece)))
+        cell += len(piece) // 2
+    return out
 
 
 def classify_h(t: Tiling, p: int) -> HalfSquareStatus:
@@ -309,7 +342,7 @@ def last_positions(t: Tiling) -> LastPositions:
 
 
 def has_free_bifence(t: Tiling) -> bool:
-    return any(is_free_bifence(o) for o in decompose(t))
+    return "LLRR" in t.pieces
 
 
 def has_bifence(t: Tiling) -> bool:
@@ -317,4 +350,5 @@ def has_bifence(t: Tiling) -> bool:
 
 
 def has_even_metatile(t: Tiling) -> bool:
-    return any(o.metatile.length_cells % 2 == 0 for o in decompose(t))
+    # a metatile of even length 2j cells has an encoding of 4j symbols
+    return any(len(piece) % 4 == 0 for piece in t.pieces)

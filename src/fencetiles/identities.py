@@ -98,14 +98,43 @@ def _report(identity_id, n_values, mode, rows) -> IdentityReport:
     )
 
 
-def _partition_ok(bins: dict, encodings: dict, relevant: int) -> bool:
-    """Bins must be pairwise disjoint and jointly cover the relevant set."""
-    union = set().union(*encodings.values()) if encodings else set()
-    return (
-        sum(bins.values()) == relevant
-        and sum(len(s) for s in encodings.values()) == relevant
-        and len(union) == relevant
-    )
+class _Tally:
+    """Bin counts over the tilings of one board, taken in enumeration order.
+
+    Each tiling gets at most one bin key, so the bins are disjoint by
+    construction.  Checking that every encoding is strictly greater than
+    the one before proves, in O(1) memory, that none is counted twice.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.bins: dict = {}
+        self.ordered = True
+
+    def __iter__(self):
+        prev = None
+        for t in enumerate_tilings(self.n):
+            if prev is not None and t.encoding <= prev:
+                self.ordered = False
+            prev = t.encoding
+            yield t
+
+    def add(self, key) -> None:
+        self.bins[key] = self.bins.get(key, 0) + 1
+
+    @property
+    def relevant(self) -> int:
+        return sum(self.bins.values())
+
+    def matches(self, expected: dict, relevant: int) -> bool:
+        """No tiling counted twice, every bin at its expected count and no
+        unexpected bin, and `relevant` tilings binned in all."""
+        return (
+            self.ordered
+            and all(self.bins.get(k, 0) == v for k, v in expected.items())
+            and set(self.bins) <= set(expected)
+            and self.relevant == relevant
+        )
 
 
 def verify_identity_1(n_max: int) -> IdentityReport:
@@ -128,11 +157,9 @@ def _identity_2_combinatorial_row(n: int) -> IdentityRow:
     # Enumerate the (n+2)-board and bin everything but the all-h tiling by
     # the location of the last fence (its posts sit on cells k+1 and k+2).
     board = n + 2
-    bins: dict[int, int] = {}
-    encodings: dict[int, set[str]] = {}
-    relevant = 0
     structure_ok = True
-    for t in enumerate_tilings(board):
+    tally = _Tally(board)
+    for t in tally:
         lp = last_positions(t)
         if lp.last_fence_cell is None:
             continue  # the unique all-h tiling
@@ -142,21 +169,13 @@ def _identity_2_combinatorial_row(n: int) -> IdentityRow:
             structure_ok = False
         if not 0 <= k <= n:
             structure_ok = False
-        bins[k] = bins.get(k, 0) + 1
-        encodings.setdefault(k, set()).add(t.encoding)
-        relevant += 1
+        tally.add(k)
     expected = {
         k: 3 * count_A(k) + 2 * sum(count_A(i) for i in range(k))
         for k in range(n + 1)
     }
-    bins_ok = (
-        structure_ok
-        and all(bins.get(k, 0) == expected[k] for k in expected)
-        and set(bins) <= set(expected)
-        and _partition_ok(bins, encodings, relevant)
-        and relevant == count_A(board) - 1
-    )
-    return IdentityRow(n, relevant, sum(expected.values()), bins_ok)
+    bins_ok = structure_ok and tally.matches(expected, count_A(board) - 1)
+    return IdentityRow(n, tally.relevant, sum(expected.values()), bins_ok)
 
 
 def verify_identity_2(
@@ -187,11 +206,9 @@ def verify_identity_2(
 def _identity_3_combinatorial_row(n: int) -> IdentityRow:
     # Bin the (2n+1)-board tilings by the odd cell 2k+1 holding the last h.
     board = 2 * n + 1
-    bins: dict[int, int] = {}
-    encodings: dict[int, set[str]] = {}
-    relevant = 0
     structure_ok = True
-    for t in enumerate_tilings(board):
+    tally = _Tally(board)
+    for t in tally:
         p = last_positions(t).last_h_halfcell
         if p is None:
             structure_ok = False  # an odd board must contain an h
@@ -202,20 +219,12 @@ def _identity_3_combinatorial_row(n: int) -> IdentityRow:
         k = (cell - 1) // 2
         if not 0 <= k <= n:
             structure_ok = False
-        bins[k] = bins.get(k, 0) + 1
-        encodings.setdefault(k, set()).add(t.encoding)
-        relevant += 1
+        tally.add(k)
     expected = {0: count_A(0)}
     for k in range(1, n + 1):
         expected[k] = count_A(2 * k) + 2 * sum(count_A(i) for i in range(2 * k))
-    bins_ok = (
-        structure_ok
-        and all(bins.get(k, 0) == expected[k] for k in expected)
-        and set(bins) <= set(expected)
-        and _partition_ok(bins, encodings, relevant)
-        and relevant == count_A(board)
-    )
-    return IdentityRow(n, relevant, sum(expected.values()), bins_ok)
+    bins_ok = structure_ok and tally.matches(expected, count_A(board))
+    return IdentityRow(n, tally.relevant, sum(expected.values()), bins_ok)
 
 
 def verify_identity_3(
@@ -245,25 +254,16 @@ def verify_identity_3(
 
 def _identity_4_combinatorial_row(n: int) -> IdentityRow:
     # Bin tilings containing a free bifence by the end cell of the last one.
-    bins: dict[int, int] = {}
-    encodings: dict[int, set[str]] = {}
-    relevant = 0
-    for t in enumerate_tilings(n):
+    tally = _Tally(n)
+    for t in tally:
         free = [o for o in decompose(t) if o.metatile.encoding == "LLRR"]
         if not free:
             continue
         k = free[-1].end_cell
-        bins[k] = bins.get(k, 0) + 1
-        encodings.setdefault(k, set()).add(t.encoding)
-        relevant += 1
+        tally.add(k)
     expected = {k: count_A(k - 2) * count_S(n - k) for k in range(2, n + 1)}
-    bins_ok = (
-        all(bins.get(k, 0) == expected[k] for k in expected)
-        and set(bins) <= set(expected)
-        and _partition_ok(bins, encodings, relevant)
-        and relevant == count_A(n) - count_S(n)
-    )
-    return IdentityRow(n, relevant, sum(expected.values()), bins_ok)
+    bins_ok = tally.matches(expected, count_A(n) - count_S(n))
+    return IdentityRow(n, tally.relevant, sum(expected.values()), bins_ok)
 
 
 def verify_identity_4(
@@ -291,21 +291,17 @@ def verify_identity_4(
 def _identity_5_combinatorial_row(n: int) -> IdentityRow:
     # Bin tilings containing a bifence by the end cell k and length l of the
     # last metatile containing one; check the metatile multiplicities too.
-    bins: dict[tuple[int, int], int] = {}
-    encodings: dict[tuple[int, int], set[str]] = {}
     seen_metatiles: dict[tuple[int, int], dict[str, int]] = {}
-    relevant = 0
-    for t in enumerate_tilings(n):
+    tally = _Tally(n)
+    for t in tally:
         with_bifence = [o for o in decompose(t) if o.metatile.contains_bifence]
         if not with_bifence:
             continue
         last = with_bifence[-1]
         key = (last.end_cell, last.metatile.length_cells)
-        bins[key] = bins.get(key, 0) + 1
-        encodings.setdefault(key, set()).add(t.encoding)
+        tally.add(key)
         per = seen_metatiles.setdefault(key, {})
         per[last.encoding] = per.get(last.encoding, 0) + 1
-        relevant += 1
     expected: dict[tuple[int, int], int] = {}
     for k in range(2, n + 1):
         expected[(k, 2)] = count_A(k - 2) * count_C(n - k)
@@ -320,14 +316,8 @@ def _identity_5_combinatorial_row(n: int) -> IdentityRow:
         share = count_A(k - l) * count_C(n - k)
         if any(count != share for count in per.values()):
             multiplicity_ok = False
-    bins_ok = (
-        multiplicity_ok
-        and all(bins.get(key, 0) == expected[key] for key in expected)
-        and set(bins) <= set(expected)
-        and _partition_ok(bins, encodings, relevant)
-        and relevant == count_A(n) - count_C(n)
-    )
-    return IdentityRow(n, relevant, sum(expected.values()), bins_ok)
+    bins_ok = multiplicity_ok and tally.matches(expected, count_A(n) - count_C(n))
+    return IdentityRow(n, tally.relevant, sum(expected.values()), bins_ok)
 
 
 def verify_identity_5(
@@ -361,21 +351,17 @@ def verify_identity_5(
 def _identity_6_combinatorial_row(n: int) -> IdentityRow:
     # Bin tilings containing an even-length metatile by the end cell k and
     # half-length j of the last one.
-    bins: dict[tuple[int, int], int] = {}
-    encodings: dict[tuple[int, int], set[str]] = {}
     seen_metatiles: dict[tuple[int, int], dict[str, int]] = {}
-    relevant = 0
-    for t in enumerate_tilings(n):
+    tally = _Tally(n)
+    for t in tally:
         even = [o for o in decompose(t) if o.metatile.length_cells % 2 == 0]
         if not even:
             continue
         last = even[-1]
         key = (last.end_cell, last.metatile.length_cells // 2)
-        bins[key] = bins.get(key, 0) + 1
-        encodings.setdefault(key, set()).add(t.encoding)
+        tally.add(key)
         per = seen_metatiles.setdefault(key, {})
         per[last.encoding] = per.get(last.encoding, 0) + 1
-        relevant += 1
     expected: dict[tuple[int, int], int] = {}
     for k in range(2, n + 1):
         for j in range(1, k // 2 + 1):
@@ -389,14 +375,8 @@ def _identity_6_combinatorial_row(n: int) -> IdentityRow:
         share = count_A(k - 2 * j) * count_T(n - k)
         if any(count != share for count in per.values()):
             multiplicity_ok = False
-    bins_ok = (
-        multiplicity_ok
-        and all(bins.get(key, 0) == expected[key] for key in expected)
-        and set(bins) <= set(expected)
-        and _partition_ok(bins, encodings, relevant)
-        and relevant == count_A(n) - count_T(n)
-    )
-    return IdentityRow(n, relevant, sum(expected.values()), bins_ok)
+    bins_ok = multiplicity_ok and tally.matches(expected, count_A(n) - count_T(n))
+    return IdentityRow(n, tally.relevant, sum(expected.values()), bins_ok)
 
 
 def verify_identity_6(

@@ -141,14 +141,23 @@ def metatile_census(length_cells: int) -> int:
     return 2
 
 
+#: Longest board count_halfsquare_square enumerates; its work grows like
+#: fib(2n+1), about 3.5 million leaves at the cap.
+MAX_HSQ_N = 16
+
+
 def count_halfsquare_square(n: int) -> int:
     """Brute-force count of n-board tilings by half-squares and unit squares.
 
     Deliberately an enumeration oracle, not a recurrence; it must come out
-    equal to fib(2n+1).
+    equal to fib(2n+1).  Boards longer than MAX_HSQ_N are rejected.
     """
     if n < 0:
         raise ValueError("board length must be non-negative")
+    if n > MAX_HSQ_N:
+        raise ValueError(
+            f"the hsq oracle is exponential; n must be at most {MAX_HSQ_N}, got {n}"
+        )
     half = 2 * n
 
     def walk(p: int) -> int:

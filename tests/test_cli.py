@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from fencetiles.cli import main
+from fencetiles.core import validate
 from fencetiles.sequences import count_A
 
 
@@ -26,6 +28,13 @@ class TestCount:
         status, out, _ = run(capsys, "count", "--seq", "hsq", "--n", "4")
         assert (status, out) == (0, "34\n")
 
+    def test_halfsquare_square_is_capped(self, capsys):
+        status, out, err = run(capsys, "count", "--seq", "hsq", "--n", "600")
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and "at most 16" in err
+        status, out, _ = run(capsys, "count", "--seq", "hsq", "--n", "12")
+        assert (status, out) == (0, "75025\n")
+
 
 class TestEnumerate:
     def test_text_output(self, capsys):
@@ -36,6 +45,19 @@ class TestEnumerate:
     def test_limit(self, capsys):
         _, out, _ = run(capsys, "enumerate", "--n", "3", "--limit", "2")
         assert len(out.splitlines()) == 2
+
+    def test_negative_limit_is_usage_error(self, capsys):
+        status, out, err = run(capsys, "enumerate", "--n", "3", "--limit", "-1")
+        assert (status, out) == (2, "")
+        assert "usage" in err and "--limit" in err
+
+    def test_long_board_first_tiling(self, capsys):
+        start = time.perf_counter()
+        status, out, _ = run(capsys, "enumerate", "--n", "2000", "--limit", "1")
+        assert time.perf_counter() - start < 10
+        assert status == 0
+        (line,) = out.splitlines()
+        assert validate(line).board.n == 2000
 
     def test_filter(self, capsys):
         _, out, _ = run(capsys, "enumerate", "--n", "2", "--filter", "no-bifence")
@@ -116,6 +138,12 @@ class TestRender:
         assert status == 0
         assert out == ""
         assert target.read_text().startswith('<?xml version="1.0"')
+
+    def test_unwritable_output_is_io_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.svg"
+        status, out, err = run(capsys, "render", "hh", "--out", str(target))
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_invalid_encoding(self, capsys):
         status, _, err = run(capsys, "render", "LLR")

@@ -23,6 +23,38 @@ from fencetiles.core import (
 from fencetiles.sequences import fib
 
 
+def half_cell_tilings(n):
+    """Independent oracle: every n-board encoding in lexicographic order, by
+    depth-first placement at the lowest uncovered half-cell, a fence with
+    its left post there before a half-square there ('L' < 'h')."""
+    half = 2 * n
+    enc = [""] * half
+    out = []
+
+    def walk(p):
+        while p < half and enc[p]:
+            p += 1
+        if p == half:
+            out.append("".join(enc))
+            return
+        if p + 2 < half and not enc[p + 2]:
+            enc[p], enc[p + 2] = "L", "R"
+            walk(p + 1)
+            enc[p] = enc[p + 2] = ""
+        enc[p] = "h"
+        walk(p + 1)
+        enc[p] = ""
+
+    walk(0)
+    return out
+
+
+def cut_scan(encoding):
+    """Independent split: cut after every cell that holds no left post."""
+    cuts = [k for k in range(2, len(encoding) + 1, 2) if "L" not in encoding[k - 2 : k]]
+    return [encoding[a:b] for a, b in zip([0] + cuts, cuts)]
+
+
 class TestValidate:
     def test_parses_mixed_tiling(self):
         t = validate("hLhR")
@@ -68,6 +100,34 @@ class TestValidate:
         with pytest.raises(InvalidTilingError):
             Tiling.from_placements(2, pl[:-1])
 
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_from_placements_rebuilds_the_same_tiling(self, n):
+        for t in enumerate_tilings(n):
+            rebuilt = Tiling.from_placements(n, reversed(t.placements))
+            assert rebuilt == t
+            assert rebuilt.pieces == t.pieces
+
+
+class TestTilingValue:
+    def test_pieces_encoding_and_board(self):
+        t = validate("hhLLRRhLhR")
+        assert t.pieces == ("hh", "LLRR", "hLhR")
+        assert t.encoding == str(t) == "hhLLRRhLhR"
+        assert t.board.n == 5
+
+    def test_equal_and_hash_by_encoding(self):
+        a, b = validate("LhRh"), Tiling.from_encoding("LhRh")
+        assert a == b and hash(a) == hash(b)
+        assert a != validate("hLhR")
+        assert len({a, b, validate("hhhh")}) == 2
+
+    def test_immutable(self):
+        t = validate("hh")
+        with pytest.raises(AttributeError):
+            t.pieces = ("hh",)
+        with pytest.raises(AttributeError):
+            del t.pieces
+
 
 class TestEnumerate:
     def test_n0_single_empty_tiling(self):
@@ -100,6 +160,21 @@ class TestEnumerate:
     def test_every_yielded_tiling_validates(self, n):
         for t in enumerate_tilings(n):
             assert validate(t.encoding) == t
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_matches_half_cell_oracle_in_order(self, n):
+        assert [t.encoding for t in enumerate_tilings(n)] == half_cell_tilings(n)
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_pieces_are_the_cut_scan_split(self, n):
+        for t in enumerate_tilings(n):
+            assert list(t.pieces) == cut_scan(t.encoding)
+            assert validate(t.encoding).pieces == t.pieces
+
+    def test_long_board_needs_no_recursion(self):
+        first = next(enumerate_tilings(2001))
+        assert first.encoding == "LLRR" * 1000 + "hh"
+        assert validate(first.encoding) == first
 
     def test_filter_is_applied(self):
         encs = [t.encoding for t in enumerate_tilings(2, lambda t: "h" in t.encoding)]
@@ -172,10 +247,12 @@ class TestMetatileGrammar:
 
     @pytest.mark.parametrize("l", range(1, 13))
     def test_grammar_matches_boundary_free_enumeration(self, l):
-        boundary_free = {
-            t.encoding for t in enumerate_tilings(l) if len(decompose(t)) == 1
-        }
+        # the engine enumerates from the grammar, so check it against the
+        # independent half-cell oracle and cut scan
+        boundary_free = {e for e in half_cell_tilings(l) if len(cut_scan(e)) == 1}
         assert boundary_free == set(metatile_encodings(l))
+        engine = {t.encoding for t in enumerate_tilings(l) if len(decompose(t)) == 1}
+        assert engine == boundary_free
 
     def test_grammar_members_are_valid_tilings(self):
         for l in range(1, 13):
@@ -246,6 +323,13 @@ class TestStructuralInvariants:
             e = t.encoding
             if e.endswith("h") and not e.endswith("hh"):
                 assert e.count("h") >= 2
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_piece_predicates_agree_with_the_cut_scan(self, n):
+        for t in enumerate_tilings(n):
+            segments = cut_scan(t.encoding)
+            assert has_free_bifence(t) == ("LLRR" in segments)
+            assert has_even_metatile(t) == any(len(s) // 2 % 2 == 0 for s in segments)
 
     def test_filter_predicates_agree_on_examples(self):
         assert has_free_bifence(validate("hhLLRR"))

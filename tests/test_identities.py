@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from fencetiles import identities
+from fencetiles.core import last_positions
 from fencetiles.identities import (
     Mode,
     verify,
@@ -140,6 +142,42 @@ class TestCombinatorialModes:
     def test_identity_3_is_capped_by_board_length(self):
         report = verify_identity_3(12, combinatorial=True)
         assert report.n_max == 6  # a 13-cell board is the longest scanned
+
+
+class TestCountedOnce:
+    """A tiling yielded twice, or out of order, must fail its row even when
+    every bin count still comes out right."""
+
+    @staticmethod
+    def patched(monkeypatch, rewrite):
+        real = identities.enumerate_tilings
+
+        def enumerate_tilings(n, tile_filter=None):
+            return iter(rewrite(list(real(n, tile_filter))))
+
+        monkeypatch.setattr(identities, "enumerate_tilings", enumerate_tilings)
+
+    @staticmethod
+    def duplicate_within_a_bin(tilings):
+        # the second- and third-last tilings end in hLhR and LhRh, so they
+        # share a last-fence bin: count the third-last twice instead
+        a, b = tilings[-3], tilings[-2]
+        assert (a.encoding[-4:], b.encoding[-4:]) == ("LhRh", "hLhR")
+        assert last_positions(a).last_fence_cell == last_positions(b).last_fence_cell
+        return tilings[:-2] + [a] + tilings[-1:]
+
+    def test_duplicate_fails(self, monkeypatch):
+        self.patched(monkeypatch, self.duplicate_within_a_bin)
+        row = row_for(verify_identity_2(4, combinatorial=True), 4)
+        assert row.lhs == row.rhs
+        assert not row.bins_ok
+
+    @pytest.mark.parametrize("ident", [2, 3, 4, 5, 6])
+    def test_out_of_order_fails(self, monkeypatch, ident):
+        self.patched(monkeypatch, lambda tilings: tilings[::-1])
+        row = row_for(verify(ident, 3, combinatorial=True), 3)
+        assert row.lhs == row.rhs
+        assert not row.bins_ok
 
 
 class TestReportShape:
