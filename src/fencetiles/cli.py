@@ -35,7 +35,7 @@ def _cmd_count(args) -> int:
         value = sequences.count_halfsquare_square(args.n)
     else:
         value = sequences.TABLES[args.seq].value(args.n)
-    print(value)
+    print(sequences.decimal(value))
     return 0
 
 

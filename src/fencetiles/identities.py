@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .core import decompose, enumerate_tilings, last_positions, metatile_encodings
-from .sequences import count_A, count_C, count_S, count_T, fib
+from .sequences import C, FIB, S, T, count_A, count_C, count_S, count_T, fib
 
 #: Longest board the combinatorial (exhaustive enumeration) mode will scan.
 MAX_ORACLE_BOARD = 14
@@ -137,19 +138,33 @@ class _Tally:
         )
 
 
+def _squares(n_max: int) -> tuple[list[int], list[int]]:
+    """F_i^2 for i = 0..n_max, and the prefix sums P[m] = sum_{i<m} F_i^2."""
+    sq = [f * f for f in FIB.values(n_max)]
+    return sq, list(accumulate(sq, initial=0))
+
+
+def _convolution_report(identity_id, n_max, table, weights, sq) -> IdentityReport:
+    """Numeric rows of F_{n+1}^2 = X_n + sum_{k=2..n} weights[k] X_{n-k}, with
+    X the values of `table` and sq[i] = F_i^2: the last piece X forbids ends
+    on cell k, and weights[k] counts the coverings of cells 1..k ending in it."""
+    x = table.values(n_max)
+    rows = []
+    for n in range(n_max + 1):
+        rhs = x[n] + sum(weights[k] * x[n - k] for k in range(2, n + 1))
+        rows.append(IdentityRow(n, sq[n + 1], rhs))
+    return _report(identity_id, range(n_max + 1), Mode.NUMERIC, rows)
+
+
 def verify_identity_1(n_max: int) -> IdentityReport:
     """F_n^2 = F_{n-1}^2 + 3 F_{n-2}^2 + 2 sum_{i=3..n} F_{n-i}^2."""
     if n_max < 2:
         raise ValueError("identity 1 needs n_max >= 2")
-    rows = []
-    for n in range(2, n_max + 1):
-        lhs = fib(n) ** 2
-        rhs = (
-            fib(n - 1) ** 2
-            + 3 * fib(n - 2) ** 2
-            + 2 * sum(fib(n - i) ** 2 for i in range(3, n + 1))
-        )
-        rows.append(IdentityRow(n, lhs, rhs))
+    sq, prefix = _squares(n_max)
+    rows = [
+        IdentityRow(n, sq[n], sq[n - 1] + 3 * sq[n - 2] + 2 * prefix[n - 2])
+        for n in range(2, n_max + 1)
+    ]
     return _report(1, range(2, n_max + 1), Mode.NUMERIC, rows)
 
 
@@ -192,14 +207,11 @@ def verify_identity_2(
         ]
         rows = [_identity_2_combinatorial_row(n) for n in n_values]
         return _report(2, n_values, Mode.COMBINATORIAL, rows)
-    rows = []
+    sq, prefix = _squares(n_max + 3)
+    rows, rhs = [], 0
     for n in range(n_max + 1):
-        lhs = fib(n + 3) ** 2 - 1
-        rhs = sum(
-            3 * fib(k + 1) ** 2 + 2 * sum(fib(i) ** 2 for i in range(1, k + 1))
-            for k in range(n + 1)
-        )
-        rows.append(IdentityRow(n, lhs, rhs))
+        rhs += 3 * sq[n + 1] + 2 * prefix[n + 1]
+        rows.append(IdentityRow(n, sq[n + 3] - 1, rhs))
     return _report(2, range(n_max + 1), Mode.NUMERIC, rows)
 
 
@@ -241,14 +253,12 @@ def verify_identity_3(
         ]
         rows = [_identity_3_combinatorial_row(n) for n in n_values]
         return _report(3, n_values, Mode.COMBINATORIAL, rows)
-    rows = []
+    sq, prefix = _squares(2 * n_max + 2)
+    rows, rhs = [], 0
     for n in range(n_max + 1):
-        lhs = fib(2 * n + 2) ** 2
-        rhs = fib(1) ** 2 + sum(
-            fib(2 * k + 1) ** 2 + 2 * sum(fib(i) ** 2 for i in range(1, 2 * k + 1))
-            for k in range(1, n + 1)
-        )
-        rows.append(IdentityRow(n, lhs, rhs))
+        # as F_0 = 0, the k = 0 term F_1^2 + 2 P[1] is the F_1^2 of the formula
+        rhs += sq[2 * n + 1] + 2 * prefix[2 * n + 1]
+        rows.append(IdentityRow(n, sq[2 * n + 2], rhs))
     return _report(3, range(n_max + 1), Mode.NUMERIC, rows)
 
 
@@ -278,14 +288,8 @@ def verify_identity_4(
         ]
         rows = [_identity_4_combinatorial_row(n) for n in n_values]
         return _report(4, n_values, Mode.COMBINATORIAL, rows)
-    rows = []
-    for n in range(n_max + 1):
-        lhs = fib(n + 1) ** 2
-        rhs = count_S(n) + sum(
-            fib(k - 1) ** 2 * count_S(n - k) for k in range(2, n + 1)
-        )
-        rows.append(IdentityRow(n, lhs, rhs))
-    return _report(4, range(n_max + 1), Mode.NUMERIC, rows)
+    sq, _ = _squares(n_max + 1)
+    return _convolution_report(4, n_max, S, [0] + sq, sq)  # weight F_{k-1}^2
 
 
 def _identity_5_combinatorial_row(n: int) -> IdentityRow:
@@ -333,19 +337,13 @@ def verify_identity_5(
         ]
         rows = [_identity_5_combinatorial_row(n) for n in n_values]
         return _report(5, n_values, Mode.COMBINATORIAL, rows)
-    rows = []
-    for n in range(n_max + 1):
-        lhs = fib(n + 1) ** 2
-        rhs = count_C(n) + sum(
-            fib(k - 1) ** 2 * count_C(n - k) for k in range(2, n + 1)
-        )
-        rhs += sum(
-            (2 - (l == 3)) * fib(k - l + 1) ** 2 * count_C(n - k)
-            for k in range(3, n + 1)
-            for l in range(3, k + 1)
-        )
-        rows.append(IdentityRow(n, lhs, rhs))
-    return _report(5, range(n_max + 1), Mode.NUMERIC, rows)
+    # the weight of C_{n-k} is F_{k-1}^2 from the first sum, F_{k-2}^2 from
+    # l = 3 and 2 (F_{k-3}^2 + ... + F_1^2) = 2 P[k-2] from l = 4..k
+    sq, prefix = _squares(n_max + 1)
+    weights = [0, 0] + [
+        sq[k - 1] + sq[k - 2] + 2 * prefix[k - 2] for k in range(2, n_max + 1)
+    ]
+    return _convolution_report(5, n_max, C, weights, sq)
 
 
 def _identity_6_combinatorial_row(n: int) -> IdentityRow:
@@ -391,16 +389,14 @@ def verify_identity_6(
         ]
         rows = [_identity_6_combinatorial_row(n) for n in n_values]
         return _report(6, n_values, Mode.COMBINATORIAL, rows)
-    rows = []
-    for n in range(n_max + 1):
-        lhs = fib(n + 1) ** 2
-        rhs = count_T(n) + sum(
-            (2 + (j == 1)) * fib(k - 2 * j + 1) ** 2 * count_T(n - k)
-            for k in range(2, n + 1)
-            for j in range(1, k // 2 + 1)
-        )
-        rows.append(IdentityRow(n, lhs, rhs))
-    return _report(6, range(n_max + 1), Mode.NUMERIC, rows)
+    # the weight of T_{n-k} is sum_j (2 + [j=1]) F_{k-2j+1}^2 = 2 alt[k-1] +
+    # F_{k-1}^2, where alt[m] = F_m^2 + F_{m-2}^2 + ... down to F_1^2 or F_0^2
+    sq, _ = _squares(n_max + 1)
+    alt = sq[:2]
+    for m in range(2, n_max + 1):
+        alt.append(sq[m] + alt[m - 2])
+    weights = [0] + [2 * a + f2 for a, f2 in zip(alt, sq)]
+    return _convolution_report(6, n_max, T, weights, sq)
 
 
 def verify_identity_7(n_max: int, oracle_n: int = DEFAULT_ORACLE_N) -> IdentityReport:

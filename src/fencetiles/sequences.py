@@ -1,7 +1,7 @@
 """Exact integer sequences attached to the tilings.
 
 All arithmetic uses Python's unbounded integers; nothing here touches
-floating point.  Each sequence lives in a memoized, append-only table:
+floating point.  Each sequence is an immutable linear-recurrence table:
 
 * fib  -- Fibonacci numbers, F0 = 0, F1 = 1.
 * A    -- tilings of an n-board (equals fib(n+1)**2).
@@ -16,40 +16,56 @@ Every closed recurrence has an independently computed sum-form twin
 from __future__ import annotations
 
 import json
-import threading
 
 
 class SequenceTable:
-    """Memoized values of a linear recurrence with constant coefficients.
+    """A linear recurrence a_m = c_1 a_{m-1} + ... + c_d a_{m-d} with
+    constant coefficients and initial terms a_0 .. a_{d-1}.
 
-    ``value(n)`` is 0 for n < 0.  The table only grows; extension is
-    serialized by a lock, reads of computed prefixes are safe concurrently.
+    ``value(n)`` is 0 for n < 0.  A table holds no memo, so it is safe to
+    share between threads.
     """
 
     def __init__(self, name: str, initial, coefficients):
         self.name = name
-        self._values = list(initial)
+        self._initial = tuple(initial)
         self._coefficients = tuple(coefficients)
-        self._lock = threading.Lock()
+        if not self._coefficients or len(self._initial) != len(self._coefficients):
+            raise ValueError(
+                f"{name}: needs at least one coefficient and one initial term each"
+            )
+
+    def _mulmod(self, p: list[int], q: list[int]) -> list[int]:
+        """p * q modulo the characteristic polynomial x^d - c_1 x^{d-1} - ... - c_d."""
+        d = len(self._coefficients)
+        prod = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                prod[i + j] += a * b
+        for k in range(len(prod) - 1, d - 1, -1):
+            for i, c in enumerate(self._coefficients, 1):
+                prod[k - i] += c * prod[k]
+        return prod[:d]
 
     def value(self, n: int) -> int:
+        """a_n in O(log n) products: x^n modulo the characteristic polynomial
+        by square-and-multiply, dotted with the initial terms (Fiduccia,
+        "An efficient formula for linear recurrences", SIAM J. Comput. 1985)."""
         if n < 0:
             return 0
-        if n >= len(self._values):
-            with self._lock:
-                while len(self._values) <= n:
-                    m = len(self._values)
-                    self._values.append(
-                        sum(
-                            c * self._values[m - 1 - i]
-                            for i, c in enumerate(self._coefficients)
-                        )
-                    )
-        return self._values[n]
+        power = [1]
+        for bit in bin(n)[2:]:
+            power = self._mulmod(power, power)
+            if bit == "1":
+                power = self._mulmod(power, [0, 1])
+        return sum(r * a for r, a in zip(power, self._initial))
 
     def values(self, n_max: int) -> list[int]:
-        self.value(n_max)
-        return self._values[: n_max + 1]
+        """[a_0, ..., a_{n_max}], running the recurrence into a fresh list."""
+        vals = list(self._initial[: max(n_max + 1, 0)])
+        for _ in range(len(vals), n_max + 1):
+            vals.append(sum(c * vals[-i] for i, c in enumerate(self._coefficients, 1)))
+        return vals
 
 
 FIB = SequenceTable("fib", (0, 1), (1, 1))
@@ -91,13 +107,16 @@ def a_via_sum_form(n: int) -> int:
     if n < 0:
         return 0
     vals: list[int] = []
+    older = 0  # vals[0] + ... + vals[m - 3]
     for m in range(n + 1):
         total = 1 if m == 0 else 0
         if m >= 1:
             total += vals[m - 1]
         if m >= 2:
             total += 3 * vals[m - 2]
-        total += 2 * sum(vals[: m - 2])
+        if m >= 3:
+            older += vals[m - 3]
+        total += 2 * older
         vals.append(total)
     return vals[n]
 
@@ -107,11 +126,14 @@ def s_via_sum_form(n: int) -> int:
     if n < 0:
         return 0
     vals: list[int] = []
+    older = 0  # vals[0] + ... + vals[m - 2]
     for m in range(n + 1):
         total = 1 if m == 0 else 0
         if m >= 1:
             total += vals[m - 1]
-        total += 2 * sum(vals[: m - 1])
+        if m >= 2:
+            older += vals[m - 2]
+        total += 2 * older
         vals.append(total)
     return vals[n]
 
@@ -121,11 +143,14 @@ def t_via_sum_form(n: int) -> int:
     if n < 0:
         return 0
     vals: list[int] = []
+    tails = [0, 0]  # tails[m % 2] = vals[m - 3] + vals[m - 5] + ...
     for m in range(n + 1):
         total = 1 if m == 0 else 0
         if m >= 1:
             total += vals[m - 1]
-        total += 2 * sum(vals[m - 1 - 2 * j] for j in range(1, (m - 1) // 2 + 1))
+        if m >= 3:
+            tails[m % 2] += vals[m - 3]
+        total += 2 * tails[m % 2]
         vals.append(total)
     return vals[n]
 
@@ -171,19 +196,38 @@ def count_halfsquare_square(n: int) -> int:
     return walk(0)
 
 
+def decimal(value: int) -> str:
+    """Decimal text of an integer of any size: split by the powers of ten
+    10^(256 * 2^i), it calls str() only on pieces under 640 digits, the least
+    int_max_str_digits CPython allows, so that limit is neither hit nor changed."""
+    if value < 0:
+        return "-" + decimal(-value)
+    powers = [10**256]
+    while powers[-1] <= value:
+        powers.append(powers[-1] ** 2)
+
+    def digits(v: int, i: int) -> str:  # v < powers[i]
+        if i == 0:
+            return str(v)
+        high, low = divmod(v, powers[i - 1])
+        if not high:
+            return digits(low, i - 1)
+        return digits(high, i - 1) + digits(low, i - 1).zfill(256 << (i - 1))
+
+    return digits(value, len(powers) - 1)
+
+
 def sequence_csv(name: str, n_max: int) -> str:
     """CSV export, columns n,value; values are decimal text."""
-    table = TABLES[name]
     lines = ["n,value"]
-    lines.extend(f"{i},{table.value(i)}" for i in range(n_max + 1))
+    lines.extend(f"{i},{decimal(v)}" for i, v in enumerate(TABLES[name].values(n_max)))
     return "\n".join(lines) + "\n"
 
 
 def sequence_jsonl(name: str, n_max: int) -> str:
     """JSON-lines export; values as decimal text to avoid precision loss."""
-    table = TABLES[name]
     lines = [
-        json.dumps({"name": name, "n": i, "value": str(table.value(i))})
-        for i in range(n_max + 1)
+        json.dumps({"name": name, "n": i, "value": decimal(v)})
+        for i, v in enumerate(TABLES[name].values(n_max))
     ]
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -34,6 +35,25 @@ class TestCount:
         assert err.startswith("error: ") and "at most 16" in err
         status, out, _ = run(capsys, "count", "--seq", "hsq", "--n", "12")
         assert (status, out) == (0, "75025\n")
+
+    @pytest.mark.parametrize("seq, n", [("fib", 30000), ("A", 12000)])
+    def test_count_prints_values_beyond_the_digit_limit(self, capsys, seq, n):
+        a, b = 0, 1
+        for _ in range(n + (seq == "A")):
+            a, b = b, a + b
+        value = a * a if seq == "A" else a
+        # decimal text by repeated division into base-10^9 limbs
+        limbs = []
+        while value:
+            value, limb = divmod(value, 10**9)
+            limbs.append(limb)
+        expected = str(limbs[-1]) + "".join(f"{x:09d}" for x in reversed(limbs[:-1]))
+        limit = sys.get_int_max_str_digits()
+        status, out, err = run(capsys, "count", "--seq", seq, "--n", str(n))
+        assert (status, err) == (0, "")
+        assert out == expected + "\n"
+        assert len(expected) > limit
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestEnumerate:

@@ -16,7 +16,7 @@ from fencetiles.identities import (
     verify_identity_6,
     verify_identity_7,
 )
-from fencetiles.sequences import count_S, count_T, fib
+from fencetiles.sequences import count_C, count_S, count_T, fib
 
 
 def row_for(report, n):
@@ -115,6 +115,74 @@ class TestNumericIdentity7:
         report = verify_identity_7(50)
         assert report.all_pass
         assert all(r.bins_ok for r in report.rows)
+
+
+def nested_sum_rows(identity: int, n_max: int) -> list[tuple]:
+    """(n, lhs, rhs, passed) of a numeric report, from the literal nested
+    sums of the identity: the oracle for the prefix-sum evaluation."""
+    rows = []
+    for n in range(2 if identity == 1 else 0, n_max + 1):
+        if identity == 1:
+            lhs = fib(n) ** 2
+            rhs = (
+                fib(n - 1) ** 2
+                + 3 * fib(n - 2) ** 2
+                + 2 * sum(fib(n - i) ** 2 for i in range(3, n + 1))
+            )
+        elif identity == 2:
+            lhs = fib(n + 3) ** 2 - 1
+            rhs = sum(
+                3 * fib(k + 1) ** 2 + 2 * sum(fib(i) ** 2 for i in range(1, k + 1))
+                for k in range(n + 1)
+            )
+        elif identity == 3:
+            lhs = fib(2 * n + 2) ** 2
+            rhs = fib(1) ** 2 + sum(
+                fib(2 * k + 1) ** 2 + 2 * sum(fib(i) ** 2 for i in range(1, 2 * k + 1))
+                for k in range(1, n + 1)
+            )
+        elif identity == 4:
+            lhs = fib(n + 1) ** 2
+            rhs = count_S(n) + sum(
+                fib(k - 1) ** 2 * count_S(n - k) for k in range(2, n + 1)
+            )
+        elif identity == 5:
+            lhs = fib(n + 1) ** 2
+            rhs = count_C(n) + sum(
+                fib(k - 1) ** 2 * count_C(n - k) for k in range(2, n + 1)
+            )
+            rhs += sum(
+                (2 - (l == 3)) * fib(k - l + 1) ** 2 * count_C(n - k)
+                for k in range(3, n + 1)
+                for l in range(3, k + 1)
+            )
+        else:
+            lhs = fib(n + 1) ** 2
+            rhs = count_T(n) + sum(
+                (2 + (j == 1)) * fib(k - 2 * j + 1) ** 2 * count_T(n - k)
+                for k in range(2, n + 1)
+                for j in range(1, k // 2 + 1)
+            )
+        rows.append((n, lhs, rhs, lhs == rhs))
+    return rows
+
+
+class TestNumericOracle:
+    @pytest.mark.parametrize("ident", range(1, 7))
+    def test_rows_equal_nested_sums_up_to_60(self, ident):
+        report = verify(ident, 60)
+        assert report.mode is Mode.NUMERIC
+        assert [(r.n, r.lhs, r.rhs, r.passed) for r in report.rows] == nested_sum_rows(
+            ident, 60
+        )
+
+    @pytest.mark.parametrize("ident", range(1, 7))
+    def test_smallest_reports_equal_nested_sums(self, ident):
+        for n_max in range(2 if ident == 1 else 0, 4):
+            rows = verify(ident, n_max).rows
+            assert [(r.n, r.lhs, r.rhs, r.passed) for r in rows] == nested_sum_rows(
+                ident, n_max
+            )
 
 
 class TestCombinatorialModes:

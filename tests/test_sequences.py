@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import pytest
@@ -11,6 +12,7 @@ from fencetiles.core import (
     has_free_bifence,
 )
 from fencetiles.sequences import (
+    TABLES,
     SequenceTable,
     a_via_sum_form,
     count_A,
@@ -18,6 +20,7 @@ from fencetiles.sequences import (
     count_S,
     count_T,
     count_halfsquare_square,
+    decimal,
     fib,
     metatile_census,
     s_via_sum_form,
@@ -25,6 +28,83 @@ from fencetiles.sequences import (
     sequence_jsonl,
     t_via_sum_form,
 )
+
+#: (initial terms, coefficients) of each table, written out independently of
+#: the module under test.
+RECURRENCES = {
+    "fib": ((0, 1), (1, 1)),
+    "A": ((1, 1, 4), (2, 2, -1)),
+    "S": ((1, 1), (2, 1)),
+    "C": ((1, 1, 3), (1, 2, 1)),
+    "T": ((1, 1, 1), (1, 1, 1)),
+}
+
+
+class MemoTable:
+    """Oracle for SequenceTable: a memoized table that runs the recurrence
+    one term at a time, in linear time."""
+
+    def __init__(self, initial, coefficients):
+        self._values = list(initial)
+        self._coefficients = tuple(coefficients)
+
+    def value(self, n: int) -> int:
+        if n < 0:
+            return 0
+        while len(self._values) <= n:
+            m = len(self._values)
+            self._values.append(
+                sum(c * self._values[m - 1 - i] for i, c in enumerate(self._coefficients))
+            )
+        return self._values[n]
+
+
+def fib_pair(n: int) -> tuple[int, int]:
+    """(F_n, F_{n+1}) by fast doubling: F_2k = F_k (2 F_{k+1} - F_k) and
+    F_{2k+1} = F_k^2 + F_{k+1}^2."""
+    if n == 0:
+        return 0, 1
+    a, b = fib_pair(n // 2)
+    c, d = a * (2 * b - a), a * a + b * b
+    return (d, c + d) if n % 2 else (c, d)
+
+
+def a_sum_form_quadratic(n: int) -> list[int]:
+    """A_0..A_n, re-summing every earlier value at each step."""
+    vals: list[int] = []
+    for m in range(n + 1):
+        total = 1 if m == 0 else 0
+        if m >= 1:
+            total += vals[m - 1]
+        if m >= 2:
+            total += 3 * vals[m - 2]
+        total += 2 * sum(vals[: m - 2])
+        vals.append(total)
+    return vals
+
+
+def s_sum_form_quadratic(n: int) -> list[int]:
+    """S_0..S_n, re-summing every earlier value at each step."""
+    vals: list[int] = []
+    for m in range(n + 1):
+        total = 1 if m == 0 else 0
+        if m >= 1:
+            total += vals[m - 1]
+        total += 2 * sum(vals[: m - 1])
+        vals.append(total)
+    return vals
+
+
+def t_sum_form_quadratic(n: int) -> list[int]:
+    """T_0..T_n, re-summing every earlier value at each step."""
+    vals: list[int] = []
+    for m in range(n + 1):
+        total = 1 if m == 0 else 0
+        if m >= 1:
+            total += vals[m - 1]
+        total += 2 * sum(vals[m - 1 - 2 * j] for j in range(1, (m - 1) // 2 + 1))
+        vals.append(total)
+    return vals
 
 
 class TestFib:
@@ -101,6 +181,19 @@ class TestCountT:
         assert all(count_T(n) == t_via_sum_form(n) for n in range(201))
 
 
+class TestSumFormTwins:
+    @pytest.mark.parametrize(
+        "twin, oracle",
+        [
+            (a_via_sum_form, a_sum_form_quadratic),
+            (s_via_sum_form, s_sum_form_quadratic),
+            (t_via_sum_form, t_sum_form_quadratic),
+        ],
+    )
+    def test_running_sums_match_quadratic_form_up_to_300(self, twin, oracle):
+        assert [twin(n) for n in range(-2, 301)] == [0, 0] + oracle(300)
+
+
 class TestFilteredEnumerationOracle:
     """The recurrences must reproduce the exhaustive filtered counts."""
 
@@ -164,6 +257,21 @@ class TestExports:
     def test_csv(self):
         assert sequence_csv("A", 3) == "n,value\n0,1\n1,1\n2,4\n3,9\n"
 
+    def test_exports_print_values_beyond_the_digit_limit(self):
+        import json
+
+        # fib(3100) has 648 digits, past 640, the lowest limit CPython allows
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            last = json.loads(sequence_jsonl("fib", 3100).splitlines()[-1])
+            csv_tail = sequence_csv("fib", 3100).splitlines()[-1]
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert last["value"] == TestDecimal.by_limbs(fib(3100))
+        assert csv_tail == f"3100,{last['value']}"
+
     def test_jsonl_values_are_decimal_text(self):
         import json
 
@@ -195,3 +303,91 @@ class TestSequenceTable:
             th.join()
         assert len(set(results)) == 1
         assert results[0] == table.value(399) + table.value(398)
+
+    @pytest.mark.parametrize(
+        "initial, coefficients",
+        [((), ()), ((1,), (1, 1)), ((0, 1, 2), (1, 1)), ((1,), ())],
+    )
+    def test_rejects_initial_terms_not_one_per_coefficient(self, initial, coefficients):
+        with pytest.raises(ValueError):
+            SequenceTable("bad", initial, coefficients)
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_negative_index_is_zero_and_values_empty(self, name):
+        table = TABLES[name]
+        assert [table.value(n) for n in (-1, -2, -50)] == [0, 0, 0]
+        assert table.values(-1) == [] and table.values(-4) == []
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_values_below_the_order_are_a_prefix_of_the_initial_terms(self, name):
+        initial, _ = RECURRENCES[name]
+        for k in range(len(initial)):
+            assert TABLES[name].values(k) == list(initial[: k + 1])
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_value_matches_memo_oracle_up_to_500(self, name):
+        oracle = MemoTable(*RECURRENCES[name])
+        table = TABLES[name]
+        assert [table.value(i) for i in range(501)] == [oracle.value(i) for i in range(501)]
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_values_match_memo_oracle_up_to_500(self, name):
+        oracle = MemoTable(*RECURRENCES[name])
+        expected = [oracle.value(i) for i in range(501)]
+        table = TABLES[name]
+        assert all(table.values(n) == expected[: n + 1] for n in range(501))
+
+    def test_order_one_recurrence(self):
+        table = SequenceTable("powers", (5,), (3,))
+        assert [table.value(n) for n in range(6)] == [5 * 3**n for n in range(6)]
+        assert table.values(5) == [5 * 3**n for n in range(6)]
+
+    @pytest.mark.parametrize("n", [29999, 30000, 65537])
+    def test_big_values_match_fast_doubling(self, n):
+        assert fib(n) == fib_pair(n)[0]
+        assert count_A(n) == fib_pair(n + 1)[0] ** 2
+
+    @pytest.mark.parametrize("name", ["S", "C", "T"])
+    def test_big_values_match_memo_oracle(self, name):
+        assert TABLES[name].value(5000) == MemoTable(*RECURRENCES[name]).value(5000)
+
+
+#: Integers for the decimal conversion, around the 256-digit pieces it cuts.
+VALUES = {
+    "0": 0,
+    "7": 7,
+    "-7": -7,
+    "10^256-1": 10**256 - 1,
+    "10^256": 10**256,
+    "10^512+1": 10**512 + 1,
+    "10^5000": 10**5000,
+    "3^40000": 3**40000,
+    "-7^9000": -(7**9000),
+}
+
+
+class TestDecimal:
+    @staticmethod
+    def by_limbs(value: int) -> str:
+        """Decimal text by repeated division into base-10^9 limbs."""
+        sign, value = ("-", -value) if value < 0 else ("", value)
+        limbs = []
+        while True:
+            value, limb = divmod(value, 10**9)
+            limbs.append(limb)
+            if not value:
+                break
+        return sign + str(limbs[-1]) + "".join(f"{x:09d}" for x in reversed(limbs[:-1]))
+
+    @pytest.mark.parametrize("label", sorted(VALUES))
+    def test_matches_limb_conversion(self, label):
+        assert decimal(VALUES[label]) == self.by_limbs(VALUES[label])
+
+    def test_works_under_the_lowest_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            text = decimal(fib(30000))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text == self.by_limbs(fib(30000))
