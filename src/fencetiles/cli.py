@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bijection, identities, sequences
@@ -75,7 +76,7 @@ def _cmd_verify(args) -> int:
     else:
         ident = int(args.identity)
         reports = [identities.verify(ident, args.max_n)]
-        if args.combinatorial and ident in (2, 3, 4, 5, 6):
+        if args.combinatorial and ident in identities.COMBINATORIAL:
             reports.append(identities.verify(ident, args.max_n, combinatorial=True))
     ok = True
     for report in reports:
@@ -195,8 +196,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader has gone: send what is still buffered to devnull, so
+            # that the flush at interpreter exit raises nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

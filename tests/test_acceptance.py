@@ -15,7 +15,7 @@ from fencetiles.core import (
     has_even_metatile,
     has_free_bifence,
 )
-from fencetiles.identities import verify, verify_identity_3
+from fencetiles.identities import verify
 from fencetiles.render import RenderSpec, render
 from fencetiles.sequences import (
     a_via_sum_form,
@@ -80,7 +80,7 @@ def test_criterion_4_identity_suite():
         r = verify(i, 12, combinatorial=True)
         ok = ok and r.all_pass and r.n_max == 12
     # identity 3 enumerates a (2n+1)-board, so the oracle cap limits it to n<=6
-    r3 = verify_identity_3(12, combinatorial=True)
+    r3 = verify(3, 12, combinatorial=True)
     ok = ok and r3.all_pass and r3.n_max == 6
     report(
         "criterion 4: identities 1-7 numeric to n=50; 2-6 combinatorial "

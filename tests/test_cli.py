@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +73,25 @@ class TestEnumerate:
         status, out, err = run(capsys, "enumerate", "--n", "3", "--limit", "-1")
         assert (status, out) == (2, "")
         assert "usage" in err and "--limit" in err
+
+    def test_closed_reader_is_io_error(self):
+        # the reader stops after one line, as `| head -1` does; 54,289
+        # tilings overfill the pipe, so the writer meets the closed end
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fencetiles.cli", "enumerate", "--n", "12"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"LLRR" * 6 + b"\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in err.decode()
+        assert err.decode().startswith("error: ")
 
     def test_long_board_first_tiling(self, capsys):
         start = time.perf_counter()

@@ -1,22 +1,12 @@
 import json
+from collections import Counter
 
 import pytest
 
 from fencetiles import identities
-from fencetiles.core import last_positions
-from fencetiles.identities import (
-    Mode,
-    verify,
-    verify_all,
-    verify_identity_1,
-    verify_identity_2,
-    verify_identity_3,
-    verify_identity_4,
-    verify_identity_5,
-    verify_identity_6,
-    verify_identity_7,
-)
-from fencetiles.sequences import count_C, count_S, count_T, fib
+from fencetiles.core import Tiling, count_tilings, last_positions, metatile_encodings
+from fencetiles.identities import COMBINATORIAL, Mode, verify, verify_all
+from fencetiles.sequences import A, count_C, count_S, count_T, fib
 
 
 def row_for(report, n):
@@ -25,96 +15,99 @@ def row_for(report, n):
 
 class TestNumericIdentity1:
     def test_small_cases(self):
-        report = verify_identity_1(3)
+        report = verify(1, 3)
         assert row_for(report, 2).lhs == 1
         assert row_for(report, 2).rhs == 1
         assert row_for(report, 3).lhs == 4
         assert row_for(report, 3).rhs == 1 + 3 + 0
 
     def test_all_pass_to_50(self):
-        assert verify_identity_1(50).all_pass
+        assert verify(1, 50).all_pass
 
     def test_rejects_small_range(self):
         with pytest.raises(ValueError):
-            verify_identity_1(1)
+            verify(1, 1)
 
 
 class TestNumericIdentity2:
     def test_n0(self):
-        row = row_for(verify_identity_2(0), 0)
+        row = row_for(verify(2, 0), 0)
         assert row.lhs == fib(3) ** 2 - 1 == 3
         assert row.rhs == 3
 
     def test_all_pass_to_40(self):
-        assert verify_identity_2(40).all_pass
+        assert verify(2, 40).all_pass
 
 
 class TestNumericIdentity3:
     def test_n0(self):
-        row = row_for(verify_identity_3(0), 0)
+        row = row_for(verify(3, 0), 0)
         assert row.lhs == 1 and row.rhs == 1
 
     def test_n1(self):
-        row = row_for(verify_identity_3(1), 1)
+        row = row_for(verify(3, 1), 1)
         assert row.lhs == 9
         assert row.rhs == 1 + 4 + 2 * (1 + 1)
 
     def test_all_pass_to_25(self):
-        assert verify_identity_3(25).all_pass
+        assert verify(3, 25).all_pass
 
 
 class TestNumericIdentity4:
     def test_n1(self):
-        row = row_for(verify_identity_4(1), 1)
+        row = row_for(verify(4, 1), 1)
         assert row.lhs == 1 and row.rhs == count_S(1) == 1
 
     def test_n2(self):
-        row = row_for(verify_identity_4(2), 2)
+        row = row_for(verify(4, 2), 2)
         assert row.lhs == 4 and row.rhs == 3 + 1
 
     def test_all_pass_to_50(self):
-        assert verify_identity_4(50).all_pass
+        assert verify(4, 50).all_pass
 
 
 class TestNumericIdentity5:
     def test_n2(self):
-        row = row_for(verify_identity_5(2), 2)
+        row = row_for(verify(5, 2), 2)
         assert row.lhs == 4 and row.rhs == 3 + 1
 
     def test_n3(self):
-        row = row_for(verify_identity_5(3), 3)
+        row = row_for(verify(5, 3), 3)
         assert row.lhs == 9 and row.rhs == 6 + 2 + 1
 
     def test_all_pass_to_50(self):
-        assert verify_identity_5(50).all_pass
+        assert verify(5, 50).all_pass
 
 
 class TestNumericIdentity6:
     def test_n2(self):
-        row = row_for(verify_identity_6(2), 2)
+        row = row_for(verify(6, 2), 2)
         assert row.lhs == 4 and row.rhs == count_T(2) + 3 * 1 * 1
 
     def test_n3(self):
-        row = row_for(verify_identity_6(3), 3)
+        row = row_for(verify(6, 3), 3)
         assert row.lhs == 9 and row.rhs == 3 + 3 + 3
 
     def test_all_pass_to_40(self):
-        assert verify_identity_6(40).all_pass
+        assert verify(6, 40).all_pass
 
 
 class TestNumericIdentity7:
     def test_n2(self):
-        row = row_for(verify_identity_7(2), 2)
+        row = row_for(verify(7, 2), 2)
         assert row.lhs == 4 and row.rhs == 3 * 1 - 1 + 2
 
     def test_n3(self):
-        row = row_for(verify_identity_7(3), 3)
+        row = row_for(verify(7, 3), 3)
         assert row.lhs == 9 and row.rhs == 3 * 4 - 1 - 2
 
     def test_all_pass_to_50_with_enumeration_accounting(self):
-        report = verify_identity_7(50)
-        assert report.all_pass
-        assert all(r.bins_ok for r in report.rows)
+        assert verify(7, 50).all_pass
+        # the accounting form A_n + A_{n-2} = 3 A_{n-1} + 2 (-1)^n, on the
+        # enumerated counts of boards 0..12
+        counts = [count_tilings(m) for m in range(13)]
+        for n in range(2, 13):
+            assert counts[n] + counts[n - 2] == 3 * counts[n - 1] + 2 * (-1) ** n
 
 
 def nested_sum_rows(identity: int, n_max: int) -> list[tuple]:
@@ -187,17 +180,17 @@ class TestNumericOracle:
 
 class TestCombinatorialModes:
     def test_identity_2_bins_at_n0(self):
-        report = verify_identity_2(0, combinatorial=True)
+        report = verify(2, 0, combinatorial=True)
         assert report.mode is Mode.COMBINATORIAL
         # the 2-board has 3 fence-containing tilings, all in bin k=0
         assert row_for(report, 0).lhs == 3
         assert report.all_pass
 
     def test_identity_3_bins_small(self):
-        assert verify_identity_3(3, combinatorial=True).all_pass
+        assert verify(3, 3, combinatorial=True).all_pass
 
     def test_identity_4_n2_single_free_bifence_tiling(self):
-        report = verify_identity_4(2, combinatorial=True)
+        report = verify(4, 2, combinatorial=True)
         assert row_for(report, 2).lhs == 1  # only LLRR
         assert report.all_pass
 
@@ -208,7 +201,7 @@ class TestCombinatorialModes:
         assert report.all_pass
 
     def test_identity_3_is_capped_by_board_length(self):
-        report = verify_identity_3(12, combinatorial=True)
+        report = verify(3, 12, combinatorial=True)
         assert report.n_max == 6  # a 13-cell board is the longest scanned
 
 
@@ -236,7 +229,7 @@ class TestCountedOnce:
 
     def test_duplicate_fails(self, monkeypatch):
         self.patched(monkeypatch, self.duplicate_within_a_bin)
-        row = row_for(verify_identity_2(4, combinatorial=True), 4)
+        row = row_for(verify(2, 4, combinatorial=True), 4)
         assert row.lhs == row.rhs
         assert not row.bins_ok
 
@@ -248,20 +241,77 @@ class TestCountedOnce:
         assert not row.bins_ok
 
 
+class TestDriverFaults:
+    """A tiling missing from the enumeration, or an allowed metatile missing
+    from the grammar the expected counts are read from, fails its row."""
+
+    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    @pytest.mark.parametrize("dropped", ["first", "last"])
+    def test_dropped_tiling_fails(self, monkeypatch, ident, dropped):
+        drop = (lambda ts: ts[1:]) if dropped == "first" else (lambda ts: ts[:-1])
+        TestCountedOnce.patched(monkeypatch, drop)
+        row = row_for(verify(ident, 3, combinatorial=True), 3)
+        assert not row.bins_ok
+        # the first tiling starts with a bifence, so every identity bins it;
+        # the all-h tiling comes last, and only identity 3 bins it
+        binned = dropped == "first" or ident == 3
+        assert row.lhs == row.rhs - binned
+
+    @pytest.mark.parametrize(
+        "ident, piece", [(4, "LLRR"), (5, "hLLRRh"), (5, "LhRLLRRh"), (6, "LhRh")]
+    )
+    def test_grammar_missing_an_allowed_piece_fails(self, monkeypatch, ident, piece):
+        real = identities.metatile_encodings
+        monkeypatch.setattr(
+            identities,
+            "metatile_encodings",
+            lambda length: tuple(e for e in real(length) if e != piece),
+        )
+        row = row_for(verify(ident, 5, combinatorial=True), 5)
+        assert not row.bins_ok
+
+
+class TestLastMetatileCoefficients:
+    """The allowed pieces of each length are the coefficients of the paper's
+    formulas, so the combinatorial rows of identities 4-6 check the paper's
+    sums and not only the grammar."""
+
+    PAPER = {
+        4: lambda l: 1 if l == 2 else 0,
+        5: lambda l: {1: 0, 2: 1, 3: 1}.get(l, 2),
+        6: lambda l: 3 if l == 2 else 2 if l % 2 == 0 else 0,
+    }
+
+    @pytest.mark.parametrize("ident", [4, 5, 6])
+    def test_allowed_pieces_per_length(self, ident):
+        n = 30
+        record = identities._IDENTITIES[ident]
+        expected, _ = record.bins(n, A.values(n))
+        ending_last = Counter(len(piece) // 2 for k, piece in expected if k == n)
+        keyed = Counter(
+            l
+            for l in range(1, n + 1)
+            for e in metatile_encodings(l)
+            if record.key(Tiling((e,))) == (l, e)
+        )
+        for l in range(1, n + 1):
+            assert ending_last[l] == keyed[l] == self.PAPER[ident](l), l
+
+
 class TestReportShape:
     def test_json_round_trip(self):
-        report = verify_identity_1(5)
+        report = verify(1, 5)
         data = json.loads(report.to_json())
         assert data["identity_id"] == 1
         assert data["mode"] == "numeric"
         assert data["all_pass"] is True
         assert data["rows"][0] == {"n": 2, "lhs": "1", "rhs": "1", "pass": True}
         # big integers survive as decimal text
-        big = json.loads(verify_identity_1(120).to_json())
+        big = json.loads(verify(1, 120).to_json())
         assert big["rows"][-1]["lhs"] == str(fib(120) ** 2)
 
     def test_table_mentions_every_row(self):
-        text = verify_identity_1(4).table()
+        text = verify(1, 4).table()
         assert "identity 1" in text
         assert "n=2" in text and "n=4" in text
         assert text.endswith("all pass")
@@ -270,3 +320,10 @@ class TestReportShape:
         reports = verify_all(8, combinatorial=True)
         assert len(reports) == 12  # 7 numeric + 5 combinatorial
         assert all(r.all_pass for r in reports)
+
+    def test_combinatorial_modes(self):
+        assert COMBINATORIAL == (2, 3, 4, 5, 6)
+        # the others fall back to their numeric check
+        for ident, n_min in ((1, 2), (7, 1)):
+            report = verify(ident, 5, combinatorial=True)
+            assert (report.mode, report.n_min) == (Mode.NUMERIC, n_min)
