@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import InvalidTilingError, Tiling, enumerate_tilings, validate
 
@@ -48,7 +48,7 @@ def _contract_at_h(enc: str, p: int) -> str:
     Captured h: the filled fence around it collapses to a single h.
     Free h: the bifence immediately to its right merges with it into a
     filled fence.  Either way everything further right closes up by two
-    half-cells.  Shared by the fence-ending map and the third-copy map.
+    half-cells.  Shared by b_map, the third-copy map and the audit.
     """
     if p >= 1 and enc[p - 1] == "L":
         return enc[: p - 1] + "h" + enc[p + 2 :]
@@ -61,21 +61,27 @@ def _contract_at_h(enc: str, p: int) -> str:
     return enc[:p] + "LhR" + enc[p + 5 :]
 
 
+def _expand_at_h(enc: str, q: int) -> str:
+    """Inverse of _contract_at_h at the h it left at half-cell q: a captured
+    h re-expands to h plus a bifence, a free h to a filled fence."""
+    if q >= 1 and enc[q - 1] == "L":
+        return enc[: q - 1] + "hLLRR" + enc[q + 2 :]
+    return enc[:q] + "LhR" + enc[q + 1 :]
+
+
 def b_map(t: Tiling) -> Tiling:
     """Map an n-board tiling ending in a fence (and containing an h) to an
     (n-1)-board tiling containing an h.
 
-    Ends in a filled fence: that filled fence becomes an h.  Ends in a
-    bifence: contract at the rightmost h (see _contract_at_h).
+    Contract at the rightmost h (see _contract_at_h); when the tiling ends
+    in a filled fence, that h is its gap and the fence becomes an h.
     """
     enc = t.encoding
     if "h" not in enc:
         raise BijectionDomainError("tiling contains no half-square")
     if enc[-1] != "R":
         raise BijectionDomainError("tiling does not end in a fence")
-    if enc.endswith("LhR"):
-        return validate(enc[:-3] + "h")
-    return validate(_contract_at_h(enc, enc.rfind("h")))  # ends in a bifence
+    return validate(_contract_at_h(enc, enc.rfind("h")))
 
 
 def b_inverse(u: Tiling) -> Tiling:
@@ -83,14 +89,7 @@ def b_inverse(u: Tiling) -> Tiling:
     enc = u.encoding
     if "h" not in enc:
         raise BijectionDomainError("all-bifence tiling has no preimage")
-    if enc[-1] == "h":
-        return validate(enc[:-1] + "LhR")
-    q = enc.rfind("h")
-    if q >= 1 and enc[q - 1] == "L":
-        # captured: the filled fence re-expands to h plus a bifence
-        return validate(enc[: q - 1] + "hLLRR" + enc[q + 2 :])
-    # free: the h re-expands to a filled fence
-    return validate(enc[:q] + "LhR" + enc[q + 1 :])
+    return validate(_expand_at_h(enc, enc.rfind("h")))
 
 
 def cassini_partition(t: Tiling) -> CassiniImage:
@@ -119,6 +118,36 @@ def cassini_partition(t: Tiling) -> CassiniImage:
     return CassiniImage(TargetCopy.THIRD, validate(_contract_at_h(enc, p)))
 
 
+def cassini_sources(n: int) -> Iterator[tuple[Tiling, CassiniImage, bool]]:
+    """Every source of the near-bijection at n with its image and whether it
+    is a companion.  The n-board tilings are placed by cassini_partition;
+    the companions, the (n-2)-board tilings, go into the third copy through
+    b_inverse (so their images end in a fence, the others there in an h),
+    except the all-bifence one, a source exception.
+    """
+    for t in enumerate_tilings(n):
+        yield t, cassini_partition(t), False
+    for u in enumerate_tilings(n - 2):
+        if "h" in u.encoding:
+            yield u, CassiniImage(TargetCopy.THIRD, b_inverse(u)), True
+        else:
+            yield u, CassiniImage(None, None, AllBifenceException.SOURCE), True
+
+
+def _preimage(copy: TargetCopy, e: str) -> str:
+    """The encoding of the source placed on the image encoding e in the given
+    copy: a left inverse that reads only the copy and the image, so no two
+    sources placed on one image can both be given back.  It is not checked:
+    equality with a valid source encoding is the check."""
+    if copy is TargetCopy.FIRST:
+        return e + "hh"
+    if copy is TargetCopy.SECOND:  # b_inverse
+        return _expand_at_h(e, e.rfind("h"))
+    if e.endswith("h"):  # an n-board source, contracted at its second-last h
+        return _expand_at_h(e, e.rfind("h", 0, len(e) - 1))
+    return _contract_at_h(e, e.rfind("h"))  # a companion: b_map
+
+
 @dataclass(frozen=True)
 class CassiniAudit:
     n: int
@@ -133,54 +162,40 @@ class CassiniAudit:
 def cassini_audit(n: int) -> CassiniAudit:
     """Exhaustively audit the near-bijection at board length n >= 3.
 
-    Checks that the maps are injective, that together they cover every
-    h-containing target tiling in each copy, and that exactly two
-    all-bifence tilings are left over on the side the parity of n predicts.
+    One walk over cassini_sources and one count of the (n-1)-board tilings,
+    in O(n) memory.  The map is injective when _preimage gives back every
+    placed source.  It is then onto each copy when every image lies in the
+    copy's targets (all (n-1)-board tilings for the first copy, those
+    holding an h for the second and third) and the copy holds as many
+    images as it has targets.  Exactly two all-bifence tilings must be left
+    over, on the side the parity of n predicts.
     """
     if n < 3:
         raise ValueError("audit needs n >= 3")
-    target_encodings = {t.encoding for t in enumerate_tilings(n - 1)}
-    h_targets = {e for e in target_encodings if "h" in e}
+    targets = h_targets = 0
+    for u in enumerate_tilings(n - 1):
+        targets += 1
+        h_targets += "h" in u.encoding
 
-    images: dict[TargetCopy, dict[str, str]] = {c: {} for c in TargetCopy}
-    duplicates = 0
-    source_exceptions = 0
-    n_count = 0
-    for t in enumerate_tilings(n):
-        n_count += 1
-        ci = cassini_partition(t)
+    placed = dict.fromkeys(TargetCopy, 0)
+    sources = source_exceptions = 0
+    images_ok = True
+    for t, ci, _ in cassini_sources(n):
+        sources += 1
         if ci.exception is not None:
             source_exceptions += 1
             continue
-        copy_images = images[ci.target_copy]
-        e = ci.image.encoding
-        if e in copy_images:
-            duplicates += 1
-        copy_images[e] = t.encoding
+        copy, e = ci.target_copy, ci.image.encoding
+        placed[copy] += 1
+        images_ok = (
+            images_ok
+            and len(e) == 2 * n - 2
+            and (copy is TargetCopy.FIRST or "h" in e)
+            and _preimage(copy, e) == t.encoding
+        )
+    covered = list(placed.values()) == [targets, h_targets, h_targets]
 
-    companion: dict[str, str] = {}
-    n2_count = 0
-    for u in enumerate_tilings(n - 2):
-        n2_count += 1
-        if "h" not in u.encoding:
-            source_exceptions += 1
-            continue
-        e = b_inverse(u).encoding
-        if e in companion:
-            duplicates += 1
-        companion[e] = u.encoding
-
-    third_overlap = images[TargetCopy.THIRD].keys() & companion.keys()
-    third_all = set(images[TargetCopy.THIRD]) | set(companion)
-
-    coverage_ok = (
-        set(images[TargetCopy.FIRST]) == target_encodings
-        and set(images[TargetCopy.SECOND]) == h_targets
-        and third_all == h_targets
-        and all(e.endswith("R") for e in companion)
-    )
-
-    target_exceptions = 2 * (len(target_encodings) - len(h_targets))
+    target_exceptions = 2 * (targets - h_targets)
     if n % 2 == 0:
         exceptions_ok = source_exceptions == 2 and target_exceptions == 0
         side = "source"
@@ -190,11 +205,8 @@ def cassini_audit(n: int) -> CassiniAudit:
         side = "target"
         count = target_exceptions
 
-    structure_ok = (
-        duplicates == 0 and not third_overlap and coverage_ok and exceptions_ok
-    )
-    lhs = n_count + n2_count
-    rhs = 3 * len(target_encodings) + 2 * (-1) ** n
+    structure_ok = images_ok and covered and exceptions_ok
+    rhs = 3 * targets + 2 * (-1) ** n
     return CassiniAudit(
-        n, lhs, rhs, lhs == rhs and structure_ok, side, count, structure_ok
+        n, sources, rhs, sources == rhs and structure_ok, side, count, structure_ok
     )

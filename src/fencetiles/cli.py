@@ -12,23 +12,21 @@ import json
 import os
 import sys
 
-from . import bijection, identities, sequences
-from .core import InvalidTilingError, decompose, enumerate_tilings, validate
+from . import bijection, core, identities, sequences
+from .core import enumerate_tilings, validate
 from .render import RenderSpec, render
 
 _FILTERS = ("none", "no-bifence", "no-free-bifence", "odd-metatiles")
 
 
 def _filter_predicate(name):
-    from .core import has_bifence, has_even_metatile, has_free_bifence
-
     if name == "none":
         return None
     if name == "no-bifence":
-        return lambda t: not has_bifence(t)
+        return lambda t: not core.has_bifence(t)
     if name == "no-free-bifence":
-        return lambda t: not has_free_bifence(t)
-    return lambda t: not has_even_metatile(t)  # odd-metatiles
+        return lambda t: not core.has_free_bifence(t)
+    return lambda t: not core.has_even_metatile(t)  # odd-metatiles
 
 
 def _cmd_count(args) -> int:
@@ -50,7 +48,7 @@ def _cmd_enumerate(args) -> int:
             record = {
                 "n": args.n,
                 "encoding": t.encoding,
-                "metatiles": [o.encoding for o in decompose(t)],
+                "metatiles": list(t.pieces),
             }
             print(json.dumps(record))
         else:
@@ -60,13 +58,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    try:
-        t = validate(args.encoding)
-    except InvalidTilingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for occurrence in decompose(t):
-        print(occurrence.encoding)
+    for piece in validate(args.encoding).pieces:
+        print(piece)
     return 0
 
 
@@ -96,40 +89,20 @@ def _cmd_bijection(args) -> int:
         )
         print("balanced" if audit.balanced else "UNBALANCED")
         return 0 if audit.balanced else 1
-    for t in enumerate_tilings(n):
-        ci = bijection.cassini_partition(t)
+    for t, ci, companion in bijection.cassini_sources(n):
         if ci.exception is not None:
             print(f"{t.encoding} -> {ci.exception.value}")
         else:
-            print(
-                f"{t.encoding} -> copy {ci.target_copy.value} "
-                f"{ci.image.encoding}"
-            )
-    for u in enumerate_tilings(n - 2):
-        if "h" in u.encoding:
-            print(
-                f"{u.encoding} -> copy {bijection.TargetCopy.THIRD.value} "
-                f"{bijection.b_inverse(u).encoding} (companion)"
-            )
-        else:
-            print(f"{u.encoding} -> {bijection.AllBifenceException.SOURCE.value}")
+            tag = " (companion)" if companion else ""
+            print(f"{t.encoding} -> copy {ci.target_copy.value} {ci.image}{tag}")
     return 0
 
 
 def _cmd_render(args) -> int:
-    try:
-        t = validate(args.encoding)
-    except InvalidTilingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    text = render(t, RenderSpec(format=args.format))
+    text = render(validate(args.encoding), RenderSpec(format=args.format))
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0

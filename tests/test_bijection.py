@@ -1,14 +1,20 @@
+import itertools
+import tracemalloc
+
 import pytest
 
+from fencetiles import bijection
 from fencetiles.bijection import (
     AllBifenceException,
     BijectionDomainError,
+    CassiniAudit,
     CassiniImage,
     TargetCopy,
     b_inverse,
     b_map,
     cassini_audit,
     cassini_partition,
+    cassini_sources,
 )
 from fencetiles.core import enumerate_tilings, validate
 
@@ -151,3 +157,162 @@ class TestCassiniAudit:
     def test_rejects_too_small_boards(self):
         with pytest.raises(ValueError):
             cassini_audit(2)
+
+
+def set_based_audit(n: int) -> CassiniAudit:
+    """Reference audit: every target and image encoding held in sets and
+    dicts, coverage checked by set equality."""
+    if n < 3:
+        raise ValueError("audit needs n >= 3")
+    target_encodings = {t.encoding for t in enumerate_tilings(n - 1)}
+    h_targets = {e for e in target_encodings if "h" in e}
+
+    images: dict[TargetCopy, dict[str, str]] = {c: {} for c in TargetCopy}
+    duplicates = 0
+    source_exceptions = 0
+    n_count = 0
+    for t in enumerate_tilings(n):
+        n_count += 1
+        ci = cassini_partition(t)
+        if ci.exception is not None:
+            source_exceptions += 1
+            continue
+        copy_images = images[ci.target_copy]
+        e = ci.image.encoding
+        if e in copy_images:
+            duplicates += 1
+        copy_images[e] = t.encoding
+
+    companion: dict[str, str] = {}
+    n2_count = 0
+    for u in enumerate_tilings(n - 2):
+        n2_count += 1
+        if "h" not in u.encoding:
+            source_exceptions += 1
+            continue
+        e = b_inverse(u).encoding
+        if e in companion:
+            duplicates += 1
+        companion[e] = u.encoding
+
+    third_overlap = images[TargetCopy.THIRD].keys() & companion.keys()
+    third_all = set(images[TargetCopy.THIRD]) | set(companion)
+
+    coverage_ok = (
+        set(images[TargetCopy.FIRST]) == target_encodings
+        and set(images[TargetCopy.SECOND]) == h_targets
+        and third_all == h_targets
+        and all(e.endswith("R") for e in companion)
+    )
+
+    target_exceptions = 2 * (len(target_encodings) - len(h_targets))
+    if n % 2 == 0:
+        exceptions_ok = source_exceptions == 2 and target_exceptions == 0
+        side = "source"
+        count = source_exceptions
+    else:
+        exceptions_ok = source_exceptions == 0 and target_exceptions == 2
+        side = "target"
+        count = target_exceptions
+
+    structure_ok = (
+        duplicates == 0 and not third_overlap and coverage_ok and exceptions_ok
+    )
+    lhs = n_count + n2_count
+    rhs = 3 * len(target_encodings) + 2 * (-1) ** n
+    return CassiniAudit(
+        n, lhs, rhs, lhs == rhs and structure_ok, side, count, structure_ok
+    )
+
+
+class TestAuditOracle:
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_equals_set_based_audit(self, n):
+        assert cassini_audit(n) == set_based_audit(n)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_sources_in_order(self, n):
+        sources = list(cassini_sources(n))
+        n_board = [t.encoding for t in enumerate_tilings(n)]
+        companions = [u.encoding for u in enumerate_tilings(n - 2)]
+        assert [t.encoding for t, _, _ in sources] == n_board + companions
+        flags = [companion for _, _, companion in sources]
+        assert flags == [False] * len(n_board) + [True] * len(companions)
+        for u, ci, companion in sources:
+            if not companion:
+                assert ci == cassini_partition(u)
+            elif "h" in u.encoding:
+                assert ci == CassiniImage(TargetCopy.THIRD, b_inverse(u))
+            else:
+                assert ci.exception is AllBifenceException.SOURCE
+
+    def test_memory_does_not_grow_with_the_board(self):
+        cassini_audit(10)
+        tracemalloc.start()
+        try:
+            cassini_audit(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
+
+
+class TestAuditFaults:
+    """A broken placement must fail the audit, never pass it or raise."""
+
+    @staticmethod
+    def audit_with(monkeypatch, n, rewrite):
+        real = bijection.cassini_partition
+        monkeypatch.setattr(
+            bijection, "cassini_partition", lambda t: rewrite(t, real(t))
+        )
+        audit = cassini_audit(n)
+        assert not audit.structure_ok
+        assert not audit.balanced
+
+    @staticmethod
+    def placed_in(n, copy):
+        return [
+            t for t in enumerate_tilings(n) if cassini_partition(t).target_copy is copy
+        ]
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("copy", list(TargetCopy))
+    def test_two_sources_share_one_image(self, monkeypatch, n, copy):
+        first, second = self.placed_in(n, copy)[:2]
+        shared = cassini_partition(first)
+        self.audit_with(monkeypatch, n, lambda t, ci: shared if t == second else ci)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("copy", list(TargetCopy))
+    def test_one_source_in_the_wrong_copy(self, monkeypatch, n, copy):
+        moved = self.placed_in(n, copy)[-1]
+        other = TargetCopy(copy.value % 3 + 1)
+        self.audit_with(
+            monkeypatch,
+            n,
+            lambda t, ci: CassiniImage(other, ci.image) if t == moved else ci,
+        )
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("copy", list(TargetCopy))
+    def test_one_source_becomes_an_exception(self, monkeypatch, n, copy):
+        dropped = self.placed_in(n, copy)[0]
+        exception = CassiniImage(None, None, AllBifenceException.SOURCE)
+        self.audit_with(
+            monkeypatch, n, lambda t, ci: exception if t == dropped else ci
+        )
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_one_source_walked_twice(self, monkeypatch, n):
+        # the left inverse gives the repeated source back both times; only
+        # the per-copy counts see the extra image
+        real = bijection.cassini_sources
+        monkeypatch.setattr(
+            bijection,
+            "cassini_sources",
+            lambda n: itertools.chain(real(n), list(real(n))[-1:]),
+        )
+        audit = cassini_audit(n)
+        assert not audit.structure_ok
+        assert not audit.balanced

@@ -160,6 +160,17 @@ class TestBijection:
         # every n-board tiling appears once
         assert sum(1 for l in lines if not l.endswith("(companion)")) >= count_A(3)
 
+    def test_companion_lines(self, capsys):
+        status, out, _ = run(capsys, "bijection", "--n", "4")
+        assert status == 0
+        assert out.splitlines()[-5:] == [
+            "hhhhhhhh -> copy 1 hhhhhh",
+            "LLRR -> all-bifence-source",
+            "LhRh -> copy 3 LhRLhR (companion)",
+            "hLhR -> copy 3 hhLLRR (companion)",
+            "hhhh -> copy 3 hhhLhR (companion)",
+        ]
+
     def test_audit_balanced(self, capsys):
         status, out, _ = run(capsys, "bijection", "--n", "5", "--audit")
         assert status == 0
