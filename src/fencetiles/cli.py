@@ -90,11 +90,12 @@ def _cmd_bijection(args) -> int:
         print("balanced" if audit.balanced else "UNBALANCED")
         return 0 if audit.balanced else 1
     for t, ci, companion in bijection.cassini_sources(n):
+        source = t.encoding or "(empty)"  # the 0-board companion at n = 2
         if ci.exception is not None:
-            print(f"{t.encoding} -> {ci.exception.value}")
+            print(f"{source} -> {ci.exception.value}")
         else:
             tag = " (companion)" if companion else ""
-            print(f"{t.encoding} -> copy {ci.target_copy.value} {ci.image}{tag}")
+            print(f"{source} -> copy {ci.target_copy.value} {ci.image}{tag}")
     return 0
 
 

@@ -151,25 +151,40 @@ def _split(encoding: str) -> tuple[str, ...]:
     return tuple(pieces)
 
 
+# L (resp. R) -> 1, every other symbol -> 0: the left (right) posts as a mask
+_L_POSTS = str.maketrans("hLR", "010")
+_R_POSTS = str.maketrans("hLR", "001")
+
+
+def _paired(encoding: str) -> bool:
+    """True when an R sits exactly two half-cells right of every L and every
+    R has that L: the L mask shifted right by two is the R mask, and no L
+    lies in the last cell.  One pass over an encoding of {h, L, R}."""
+    return "00" + encoding.translate(_L_POSTS) == encoding.translate(_R_POSTS) + "00"
+
+
 def validate(encoding: str) -> Tiling:
     """Parse a canonical encoding into a Tiling, rejecting anything invalid.
 
     The parse is deterministic: an L at p always pairs with the R at p+2.
+    Valid input is accepted in one pass (_paired); only rejected input is
+    read symbol by symbol, to name the first unpaired post.
     """
     if len(encoding) % 2:
         raise InvalidTilingError(f"encoding length {len(encoding)} is odd")
     unknown = set(encoding) - ALPHABET
     if unknown:
         raise InvalidTilingError(f"unknown symbols {sorted(unknown)!r}")
-    for p, c in enumerate(encoding):
-        if c == "L":
-            if p + 2 >= len(encoding):
-                raise InvalidTilingError(f"fence at {p} overhangs the board end")
-            if encoding[p + 2] != "R":
-                raise InvalidTilingError(f"L at {p} has no matching R at {p + 2}")
-        elif c == "R":
-            if p < 2 or encoding[p - 2] != "L":
-                raise InvalidTilingError(f"R at {p} has no matching L at {p - 2}")
+    if not _paired(encoding):
+        for p, c in enumerate(encoding):
+            if c == "L":
+                if p + 2 >= len(encoding):
+                    raise InvalidTilingError(f"fence at {p} overhangs the board end")
+                if encoding[p + 2] != "R":
+                    raise InvalidTilingError(f"L at {p} has no matching R at {p + 2}")
+            elif c == "R":
+                if p < 2 or encoding[p - 2] != "L":
+                    raise InvalidTilingError(f"R at {p} has no matching L at {p - 2}")
     return Tiling(_split(encoding))
 
 
@@ -199,7 +214,11 @@ def enumerate_tilings(
     An iterative walk over metatile sequences: a stack holds one candidate
     iterator per metatile placed.  Metatiles form a prefix-free code, so
     taking candidates in encoding order yields the tilings in encoding
-    order.  State is O(n); nothing is materialized.
+    order.  When a frame runs through its candidates, the walk stores them
+    under the frame's cell count, and later frames with that count iterate
+    the stored tuple.  The store belongs to this walk and holds only counts
+    a frame has already run through, so the first tiling costs O(n) time
+    and memory.
     """
     Board(n)
     if n == 0:
@@ -207,6 +226,7 @@ def enumerate_tilings(
         if tile_filter is None or tile_filter(t):
             yield t
         return
+    store: dict[int, tuple[str, ...]] = {}
     pieces: list[str] = []
     frames = [_candidates(n)]
     left = n
@@ -214,6 +234,8 @@ def enumerate_tilings(
         piece = next(frames[-1], None)
         if piece is None:
             frames.pop()
+            if left not in store:
+                store[left] = tuple(_candidates(left))
             if pieces:
                 left += len(pieces.pop()) // 2
             continue
@@ -221,7 +243,8 @@ def enumerate_tilings(
         if size < left:
             pieces.append(piece)
             left -= size
-            frames.append(_candidates(left))
+            done = store.get(left)
+            frames.append(_candidates(left) if done is None else iter(done))
             continue
         t = Tiling((*pieces, piece))
         if tile_filter is None or tile_filter(t):

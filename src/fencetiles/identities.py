@@ -19,7 +19,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Callable, Hashable, Optional
 
-from .core import Tiling, enumerate_tilings, last_positions, metatile_encodings
+from .core import Tiling, enumerate_tilings, metatile_encodings
 from .sequences import A, C, FIB, S, T
 
 #: Longest board the combinatorial (exhaustive enumeration) mode will scan.
@@ -134,10 +134,11 @@ def _identity_2_rows(n_max: int) -> list[IdentityRow]:
 
 
 def _last_fence(t: Tiling) -> Optional[int]:
-    # k when the last fence's right post sits on cell k+2; the all-h tiling
-    # of the (n+2)-board has no fence and is left unbinned
-    cell = last_positions(t).last_fence_cell
-    return None if cell is None else cell - 2
+    # k when the last fence's right post sits on cell k+2 (half-cell 2k+2 or
+    # 2k+3); the all-h tiling of the (n+2)-board has no fence and is left
+    # unbinned
+    q = t.encoding.rfind("R")
+    return None if q < 0 else q // 2 - 1
 
 
 def _last_fence_bins(n: int, a: list[int]) -> tuple[dict, int]:
@@ -159,8 +160,8 @@ def _identity_3_rows(n_max: int) -> list[IdentityRow]:
 def _last_h(t: Tiling) -> Optional[int]:
     # k when the last h sits on the odd cell 2k+1 (half-cell 4k or 4k+1);
     # every tiling of the (2n+1)-board has one, so None marks a fault
-    p = last_positions(t).last_h_halfcell
-    return None if p is None or p // 2 % 2 else p // 4
+    p = t.encoding.rfind("h")
+    return None if p < 0 or p // 2 % 2 else p // 4
 
 
 def _last_h_bins(n: int, a: list[int]) -> tuple[dict, int]:

@@ -171,6 +171,17 @@ class TestBijection:
             "hhhh -> copy 3 hhhLhR (companion)",
         ]
 
+    def test_empty_companion_is_named(self, capsys):
+        status, out, _ = run(capsys, "bijection", "--n", "2")
+        assert status == 0
+        assert out.splitlines() == [
+            "LLRR -> all-bifence-source",
+            "LhRh -> copy 3 hh",
+            "hLhR -> copy 2 hh",
+            "hhhh -> copy 1 hh",
+            "(empty) -> all-bifence-source",
+        ]
+
     def test_audit_balanced(self, capsys):
         status, out, _ = run(capsys, "bijection", "--n", "5", "--audit")
         assert status == 0

@@ -1,6 +1,12 @@
+import itertools
+import time
+import tracemalloc
+
 import pytest
 
+from fencetiles import core
 from fencetiles.core import (
+    ALPHABET,
     HalfSquareStatus,
     InvalidTilingError,
     Metatile,
@@ -20,6 +26,7 @@ from fencetiles.core import (
     metatile_encodings,
     validate,
 )
+from fencetiles.core import _paired, _split
 from fencetiles.sequences import fib
 
 
@@ -47,6 +54,40 @@ def half_cell_tilings(n):
 
     walk(0)
     return out
+
+
+def symbolwise_validate(encoding: str) -> Tiling:
+    """Reference: validate as it read before its one-pass accept, checking
+    the posts symbol by symbol."""
+    if len(encoding) % 2:
+        raise InvalidTilingError(f"encoding length {len(encoding)} is odd")
+    unknown = set(encoding) - ALPHABET
+    if unknown:
+        raise InvalidTilingError(f"unknown symbols {sorted(unknown)!r}")
+    for p, c in enumerate(encoding):
+        if c == "L":
+            if p + 2 >= len(encoding):
+                raise InvalidTilingError(f"fence at {p} overhangs the board end")
+            if encoding[p + 2] != "R":
+                raise InvalidTilingError(f"L at {p} has no matching R at {p + 2}")
+        elif c == "R":
+            if p < 2 or encoding[p - 2] != "L":
+                raise InvalidTilingError(f"R at {p} has no matching L at {p - 2}")
+    return Tiling(_split(encoding))
+
+
+def outcome(parse, encoding):
+    """The tiling parse gives, or the text of the error it raises."""
+    try:
+        return parse(encoding)
+    except InvalidTilingError as exc:
+        return str(exc)
+
+
+def strings(alphabet, max_len):
+    for k in range(max_len + 1):
+        for chars in itertools.product(alphabet, repeat=k):
+            yield "".join(chars)
 
 
 def cut_scan(encoding):
@@ -89,6 +130,22 @@ class TestValidate:
     def test_rejects_invalid(self, bad):
         with pytest.raises(InvalidTilingError):
             validate(bad)
+
+    def test_equals_symbolwise_reference_exhaustively(self):
+        # every string over {h, L, R, x} up to 7 symbols and over {h, L, R}
+        # up to 10: the same tiling, or the same error text
+        inputs = set(strings("hLRx", 7)) | set(strings("hLR", 10))
+        assert len(inputs) == 107_138
+        for e in inputs:
+            assert outcome(validate, e) == outcome(symbolwise_validate, e), e
+
+    def test_one_pass_accept_is_the_symbolwise_accept(self):
+        # _paired accepts exactly what the per-symbol loop accepts, so valid
+        # input never reaches the loop and invalid input always does
+        for e in strings("hLR", 10):
+            if len(e) % 2 == 0:
+                accepted = isinstance(outcome(symbolwise_validate, e), Tiling)
+                assert _paired(e) == accepted, e
 
     def test_from_placements_rejects_double_cover(self):
         pl = validate("hhhh").placements
@@ -175,6 +232,45 @@ class TestEnumerate:
         first = next(enumerate_tilings(2001))
         assert first.encoding == "LLRR" * 1000 + "hh"
         assert validate(first.encoding) == first
+
+    def test_first_tiling_of_a_long_board_is_lazy(self):
+        # the candidate store holds only what the walk has run through, so
+        # the first tiling needs O(n) time and memory
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            first = next(enumerate_tilings(20_000))
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.encoding == "LLRR" * 10_000
+        assert peak < 32 * 2**20
+        assert elapsed < 2.0
+
+    def test_interleaved_walks_are_independent(self):
+        def module_state():
+            # sizes of core's containers and caches: a store shared between
+            # walks would grow one of them
+            return {
+                name: len(v) if isinstance(v, (dict, list, set)) else v.cache_info()
+                for name, v in vars(core).items()
+                if isinstance(v, (dict, list, set)) or hasattr(v, "cache_info")
+            }
+
+        before = module_state()
+        walks = {7: enumerate_tilings(7), 9: enumerate_tilings(9)}
+        seen = {7: [], 9: []}
+        while walks:
+            for n, walk in list(walks.items()):
+                t = next(walk, None)
+                if t is None:
+                    del walks[n]
+                else:
+                    seen[n].append(t.encoding)
+        assert seen[7] == half_cell_tilings(7)
+        assert seen[9] == half_cell_tilings(9)
+        assert module_state() == before
 
     def test_filter_is_applied(self):
         encs = [t.encoding for t in enumerate_tilings(2, lambda t: "h" in t.encoding)]

@@ -4,7 +4,13 @@ from collections import Counter
 import pytest
 
 from fencetiles import identities
-from fencetiles.core import Tiling, count_tilings, last_positions, metatile_encodings
+from fencetiles.core import (
+    Tiling,
+    count_tilings,
+    enumerate_tilings,
+    last_positions,
+    metatile_encodings,
+)
 from fencetiles.identities import COMBINATORIAL, Mode, verify, verify_all
 from fencetiles.sequences import A, count_C, count_S, count_T, fib
 
@@ -203,6 +209,31 @@ class TestCombinatorialModes:
     def test_identity_3_is_capped_by_board_length(self):
         report = verify(3, 12, combinatorial=True)
         assert report.n_max == 6  # a 13-cell board is the longest scanned
+
+
+def last_fence_via_positions(t: Tiling):
+    # k when the last fence's right post sits on cell k+2; the all-h tiling
+    # of the (n+2)-board has no fence and is left unbinned
+    cell = last_positions(t).last_fence_cell
+    return None if cell is None else cell - 2
+
+
+def last_h_via_positions(t: Tiling):
+    # k when the last h sits on the odd cell 2k+1 (half-cell 4k or 4k+1);
+    # every tiling of the (2n+1)-board has one, so None marks a fault
+    p = last_positions(t).last_h_halfcell
+    return None if p is None or p // 2 % 2 else p // 4
+
+
+class TestLastFeatureKeys:
+    """The bin keys of identities 2 and 3 read rfind on the encoding; the
+    reference reads them through last_positions, as the keys once did."""
+
+    def test_keys_equal_the_last_positions_reference(self):
+        for n in range(13):
+            for t in enumerate_tilings(n):
+                assert identities._last_fence(t) == last_fence_via_positions(t)
+                assert identities._last_h(t) == last_h_via_positions(t)
 
 
 class TestCountedOnce:
