@@ -34,7 +34,6 @@ from .core import (
     has_bifence,
     has_even_metatile,
     has_free_bifence,
-    is_free_bifence,
     is_metatile,
     last_positions,
     metatile_encodings,

@@ -12,21 +12,9 @@ import json
 import os
 import sys
 
-from . import bijection, core, identities, sequences
+from . import bijection, identities, sequences
 from .core import enumerate_tilings, validate
 from .render import RenderSpec, render
-
-_FILTERS = ("none", "no-bifence", "no-free-bifence", "odd-metatiles")
-
-
-def _filter_predicate(name):
-    if name == "none":
-        return None
-    if name == "no-bifence":
-        return lambda t: not core.has_bifence(t)
-    if name == "no-free-bifence":
-        return lambda t: not core.has_free_bifence(t)
-    return lambda t: not core.has_even_metatile(t)  # odd-metatiles
 
 
 def _cmd_count(args) -> int:
@@ -39,9 +27,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    predicate = _filter_predicate(args.filter)
+    allowed = sequences.RESTRICTIONS[args.filter].allowed
     emitted = 0
-    for t in enumerate_tilings(args.n, predicate):
+    for t in enumerate_tilings(args.n, allowed):
         if args.limit is not None and emitted >= args.limit:
             break
         if args.format == "jsonl":
@@ -130,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream tilings of an n-board")
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--filter", default="none", choices=sorted(_FILTERS))
+    p.add_argument("--filter", default="none", choices=sorted(sequences.RESTRICTIONS))
     p.add_argument("--limit", type=non_negative_int, default=None)
     p.add_argument("--format", default="text", choices=["text", "jsonl"])
     p.set_defaults(func=_cmd_enumerate)

@@ -195,47 +195,52 @@ def _metatile(lead: str, length_cells: int) -> str:
     return lead + "LLRR" * (rest // 4) + ("h" if rest % 4 == 1 else "LhR")
 
 
-def _candidates(cells: int) -> Iterator[str]:
-    """Every metatile of at most `cells` cells, in encoding order: LLRR,
-    then those starting LhR, then those starting h, each family from the
-    longest to the shortest (a longer bifence chain sorts first)."""
-    if cells >= 2:
+def _candidates(cells: int, allowed: Optional[Callable[[str], bool]]) -> Iterator[str]:
+    """Every metatile of at most `cells` cells that allowed admits (every
+    one when allowed is None), in encoding order: LLRR, then those starting
+    LhR, then those starting h, each family from the longest to the
+    shortest (a longer bifence chain sorts first)."""
+    if cells >= 2 and (allowed is None or allowed("LLRR")):
         yield "LLRR"
     for lead, shortest in (("LhR", 2), ("h", 1)):
         for length in range(cells, shortest - 1, -1):
-            yield _metatile(lead, length)
+            piece = _metatile(lead, length)
+            if allowed is None or allowed(piece):
+                yield piece
 
 
 def enumerate_tilings(
-    n: int, tile_filter: Optional[Callable[[Tiling], bool]] = None
+    n: int, allowed: Optional[Callable[[str], bool]] = None
 ) -> Iterator[Tiling]:
-    """Yield every tiling of an n-board once, in lexicographic encoding order.
+    """Yield once, in lexicographic encoding order, every tiling of an
+    n-board whose metatiles allowed admits (every tiling when it is None).
 
     An iterative walk over metatile sequences: a stack holds one candidate
-    iterator per metatile placed.  Metatiles form a prefix-free code, so
-    taking candidates in encoding order yields the tilings in encoding
-    order.  When a frame runs through its candidates, the walk stores them
-    under the frame's cell count, and later frames with that count iterate
-    the stored tuple.  The store belongs to this walk and holds only counts
-    a frame has already run through, so the first tiling costs O(n) time
-    and memory.
+    iterator per metatile placed, and a forbidden metatile is never a
+    candidate, so no tiling holding one is built.  Metatiles form a
+    prefix-free code, so taking candidates in encoding order yields the
+    tilings in encoding order.  When a frame runs through its candidates,
+    the walk stores them under the frame's cell count, and later frames
+    with that count iterate the stored tuple.  The store belongs to this
+    walk and holds only counts a frame has already run through, so the
+    first tiling costs O(n) time and memory without allowed; with it, each
+    of O(n) frames may reject O(n) candidates of O(n) symbols before its
+    first, O(n^3) symbol work at worst.
     """
     Board(n)
     if n == 0:
-        t = Tiling(())
-        if tile_filter is None or tile_filter(t):
-            yield t
+        yield Tiling(())
         return
     store: dict[int, tuple[str, ...]] = {}
     pieces: list[str] = []
-    frames = [_candidates(n)]
+    frames = [_candidates(n, allowed)]
     left = n
     while frames:
         piece = next(frames[-1], None)
         if piece is None:
             frames.pop()
             if left not in store:
-                store[left] = tuple(_candidates(left))
+                store[left] = tuple(_candidates(left, allowed))
             if pieces:
                 left += len(pieces.pop()) // 2
             continue
@@ -244,17 +249,18 @@ def enumerate_tilings(
             pieces.append(piece)
             left -= size
             done = store.get(left)
-            frames.append(_candidates(left) if done is None else iter(done))
+            frames.append(_candidates(left, allowed) if done is None else iter(done))
             continue
-        t = Tiling((*pieces, piece))
-        if tile_filter is None or tile_filter(t):
-            yield t
+        yield Tiling((*pieces, piece))
 
 
 def count_tilings(
     n: int, tile_filter: Optional[Callable[[Tiling], bool]] = None
 ) -> int:
-    return sum(1 for _ in enumerate_tilings(n, tile_filter))
+    """The number of n-board tilings tile_filter keeps (all when it is None),
+    by generating every tiling and discarding the rest: the slow oracle of
+    the pruned walk and the sequence tables."""
+    return sum(1 for t in enumerate_tilings(n) if tile_filter is None or tile_filter(t))
 
 
 @dataclass(frozen=True)
@@ -266,11 +272,6 @@ class Metatile:
     @property
     def length_cells(self) -> int:
         return len(self.encoding) // 2
-
-    @property
-    def contains_bifence(self) -> bool:
-        # two interlocking fences show up exactly as adjacent left posts
-        return "LL" in self.encoding
 
 
 @dataclass(frozen=True)
@@ -334,11 +335,6 @@ def classify_h(t: Tiling, p: int) -> HalfSquareStatus:
         # that L's right post is at p+1, so p is the fence's gap
         return HalfSquareStatus.CAPTURED
     return HalfSquareStatus.FREE
-
-
-def is_free_bifence(occurrence: MetatileOccurrence) -> bool:
-    """True when the segment is a bifence that is itself a metatile."""
-    return occurrence.metatile.encoding == "LLRR"
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from itertools import accumulate
 from typing import Callable, Hashable, Optional
 
 from .core import Tiling, enumerate_tilings, metatile_encodings
-from .sequences import A, C, FIB, S, T
+from .sequences import A, FIB, RESTRICTIONS, Restriction
 
 #: Longest board the combinatorial (exhaustive enumeration) mode will scan.
 MAX_ORACLE_BOARD = 14
@@ -181,13 +181,13 @@ def _convolution_rows(n_max, table, weights, sq) -> list[IdentityRow]:
     return rows
 
 
-def _identity_4_rows(n_max: int) -> list[IdentityRow]:
+def _identity_4_rows(n_max: int, table) -> list[IdentityRow]:
     """F_{n+1}^2 = S_n + sum_{k=2..n} F_{k-1}^2 S_{n-k}."""
     sq, _ = _squares(n_max + 1)
-    return _convolution_rows(n_max, S, [0] + sq, sq)  # weight F_{k-1}^2
+    return _convolution_rows(n_max, table, [0] + sq, sq)  # weight F_{k-1}^2
 
 
-def _identity_5_rows(n_max: int) -> list[IdentityRow]:
+def _identity_5_rows(n_max: int, table) -> list[IdentityRow]:
     """F_{n+1}^2 = C_n + sum_k F_{k-1}^2 C_{n-k}
     + sum_k sum_{l=3..k} (2 - [l=3]) F_{k-l+1}^2 C_{n-k}."""
     # the weight of C_{n-k} is F_{k-1}^2 from the first sum, F_{k-2}^2 from
@@ -196,10 +196,10 @@ def _identity_5_rows(n_max: int) -> list[IdentityRow]:
     weights = [0, 0] + [
         sq[k - 1] + sq[k - 2] + 2 * prefix[k - 2] for k in range(2, n_max + 1)
     ]
-    return _convolution_rows(n_max, C, weights, sq)
+    return _convolution_rows(n_max, table, weights, sq)
 
 
-def _identity_6_rows(n_max: int) -> list[IdentityRow]:
+def _identity_6_rows(n_max: int, table) -> list[IdentityRow]:
     """F_{n+1}^2 = T_n + sum_k sum_j (2 + [j=1]) F_{k-2j+1}^2 T_{n-k}."""
     # the weight of T_{n-k} is sum_j (2 + [j=1]) F_{k-2j+1}^2 = 2 alt[k-1] +
     # F_{k-1}^2, where alt[m] = F_m^2 + F_{m-2}^2 + ... down to F_1^2 or F_0^2
@@ -208,23 +208,25 @@ def _identity_6_rows(n_max: int) -> list[IdentityRow]:
     for m in range(2, n_max + 1):
         alt.append(sq[m] + alt[m - 2])
     weights = [0] + [2 * a + f2 for a, f2 in zip(alt, sq)]
-    return _convolution_rows(n_max, T, weights, sq)
+    return _convolution_rows(n_max, table, weights, sq)
 
 
-def _last_metatile(numeric, table, allowed) -> _Identity:
+def _last_metatile(numeric, restriction: Restriction) -> _Identity:
     """Identities 4-6: bin a tiling of the n-board by the end cell k and the
-    encoding of its last metatile for which allowed(encoding) holds.
+    encoding of its last metatile the restriction forbids.
 
     A piece of l cells ending on cell k comes after any of the A_{k-l}
     tilings of the cells before it and before a tiling of the last n-k
-    cells with no allowed metatile; `table` counts those, X_{n-k}.  The X_n
-    tilings with no allowed metatile at all are left unbinned.
+    cells the restriction admits; its table counts those, X_{n-k}.  The X_n
+    tilings the restriction admits are left unbinned.  numeric(n_max,
+    table) gives the identity's numeric rows.
     """
+    table, allowed = restriction
 
     def key(t: Tiling) -> Optional[tuple[int, str]]:
         end = len(t.encoding) // 2
         for piece in reversed(t.pieces):
-            if allowed(piece):
+            if not allowed(piece):
                 return end, piece
             end -= len(piece) // 2
         return None
@@ -235,12 +237,12 @@ def _last_metatile(numeric, table, allowed) -> _Identity:
             (k, piece): a[k - l] * x[n - k]
             for l in range(1, n + 1)
             for piece in metatile_encodings(l)
-            if allowed(piece)
+            if not allowed(piece)
             for k in range(l, n + 1)
         }
         return expected, a[n] - x[n]
 
-    return _Identity(0, numeric, lambda n: n, key, bins)
+    return _Identity(0, lambda n_max: numeric(n_max, table), lambda n: n, key, bins)
 
 
 def _identity_7_rows(n_max: int) -> list[IdentityRow]:
@@ -261,9 +263,9 @@ _IDENTITIES = {
     2: _Identity(0, _identity_2_rows, lambda n: n + 2, _last_fence, _last_fence_bins),
     3: _Identity(0, _identity_3_rows, lambda n: 2 * n + 1, _last_h, _last_h_bins),
     # the last free bifence, metatile containing a bifence, even-length metatile
-    4: _last_metatile(_identity_4_rows, S, lambda e: e == "LLRR"),
-    5: _last_metatile(_identity_5_rows, C, lambda e: "LL" in e),
-    6: _last_metatile(_identity_6_rows, T, lambda e: len(e) % 4 == 0),
+    4: _last_metatile(_identity_4_rows, RESTRICTIONS["no-free-bifence"]),
+    5: _last_metatile(_identity_5_rows, RESTRICTIONS["no-bifence"]),
+    6: _last_metatile(_identity_6_rows, RESTRICTIONS["odd-metatiles"]),
     7: _Identity(1, _identity_7_rows),
 }
 

@@ -9,13 +9,18 @@ floating point.  Each sequence is an immutable linear-recurrence table:
 * C    -- tilings with no bifence at all.
 * T    -- tilings with no even-length metatile.
 
-Every closed recurrence has an independently computed sum-form twin
-(conditioning on the last metatile) used for cross-checking.
+A, S, C and T each count the tilings one restriction admits; the
+restriction is data, a predicate on metatile encodings (RESTRICTIONS), and
+sum_form derives a twin of its table from the metatile alphabet
+(conditioning on the last metatile) for cross-checking.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Callable, NamedTuple
+
+from .core import metatile_encodings
 
 
 class SequenceTable:
@@ -101,69 +106,68 @@ def count_T(n: int) -> int:
     return T.value(n)
 
 
+class Restriction(NamedTuple):
+    """A rule on tilings as data: the metatile encodings it admits, and the
+    table counting the n-board tilings made only of those metatiles."""
+
+    table: SequenceTable
+    allowed: Callable[[str], bool]
+
+
+#: The CLI --filter rules; identities 4-6 condition on the last metatile
+#: the rule forbids.
+RESTRICTIONS = {
+    "none": Restriction(A, lambda e: True),
+    "no-free-bifence": Restriction(S, lambda e: e != "LLRR"),
+    # two interlocking fences show up exactly as adjacent left posts
+    "no-bifence": Restriction(C, lambda e: "LL" not in e),
+    # a metatile of even length 2j cells has an encoding of 4j symbols
+    "odd-metatiles": Restriction(T, lambda e: len(e) % 4 != 0),
+}
+
+
+def sum_form(allowed: Callable[[str], bool]) -> SequenceTable:
+    """The table of tilings made only of metatiles allowed admits, derived
+    from the metatile alphabet by conditioning on the last metatile (the
+    SEQ construction, Flajolet & Sedgewick, Analytic Combinatorics, I.2):
+    X_m = [m=0] + sum_l c_l X_{m-l}, where c_l counts the allowed metatiles
+    of l cells.
+
+    From 3 cells up a metatile is (h | LhR), then bifences, then (h | LhR).
+    A predicate that reads only that family and the parity of l, as every
+    one in RESTRICTIONS does, has c_l = c_{l-2} for l >= 6, so
+    X_m = X_{m-2} + sum_{l<=5} (c_l - c_{l-2}) X_{m-l}: an order-5
+    recurrence whose first five terms come from the direct sum.
+    """
+    c = [0] + [
+        sum(1 for e in metatile_encodings(l) if allowed(e)) for l in range(1, 6)
+    ]
+    x: list[int] = []
+    for m in range(5):
+        x.append((m == 0) + sum(c[l] * x[m - l] for l in range(1, m + 1)))
+    return SequenceTable(
+        "sum-form", x, [c[1], c[2] + 1] + [c[l] - c[l - 2] for l in range(3, 6)]
+    )
+
+
 def a_via_sum_form(n: int) -> int:
-    """A_n from conditioning on the last metatile: one metatile of length 1,
-    three of length 2, two of each longer length."""
-    if n < 0:
-        return 0
-    vals: list[int] = []
-    older = 0  # vals[0] + ... + vals[m - 3]
-    for m in range(n + 1):
-        total = 1 if m == 0 else 0
-        if m >= 1:
-            total += vals[m - 1]
-        if m >= 2:
-            total += 3 * vals[m - 2]
-        if m >= 3:
-            older += vals[m - 3]
-        total += 2 * older
-        vals.append(total)
-    return vals[n]
+    """A_n from conditioning on the last metatile."""
+    return sum_form(RESTRICTIONS["none"].allowed).value(n)
 
 
 def s_via_sum_form(n: int) -> int:
     """S_n from conditioning on the last metatile (any but the bifence)."""
-    if n < 0:
-        return 0
-    vals: list[int] = []
-    older = 0  # vals[0] + ... + vals[m - 2]
-    for m in range(n + 1):
-        total = 1 if m == 0 else 0
-        if m >= 1:
-            total += vals[m - 1]
-        if m >= 2:
-            older += vals[m - 2]
-        total += 2 * older
-        vals.append(total)
-    return vals[n]
+    return sum_form(RESTRICTIONS["no-free-bifence"].allowed).value(n)
 
 
 def t_via_sum_form(n: int) -> int:
     """T_n from conditioning on the last (odd-length) metatile."""
-    if n < 0:
-        return 0
-    vals: list[int] = []
-    tails = [0, 0]  # tails[m % 2] = vals[m - 3] + vals[m - 5] + ...
-    for m in range(n + 1):
-        total = 1 if m == 0 else 0
-        if m >= 1:
-            total += vals[m - 1]
-        if m >= 3:
-            tails[m % 2] += vals[m - 3]
-        total += 2 * tails[m % 2]
-        vals.append(total)
-    return vals[n]
+    return sum_form(RESTRICTIONS["odd-metatiles"].allowed).value(n)
 
 
 def metatile_census(length_cells: int) -> int:
     """Number of metatiles of a given length in cells: 1, 3, then 2 forever."""
-    if length_cells < 1:
-        raise ValueError("metatile length must be positive")
-    if length_cells == 1:
-        return 1
-    if length_cells == 2:
-        return 3
-    return 2
+    return len(metatile_encodings(length_cells))
 
 
 #: Longest board count_halfsquare_square enumerates; its work grows like

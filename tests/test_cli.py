@@ -18,6 +18,15 @@ def run(capsys, *argv):
     return status, captured.out, captured.err
 
 
+def cli_command(*argv):
+    """The argv and environment that run the CLI from this checkout in a
+    fresh process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return [sys.executable, "-m", "fencetiles.cli", *argv], env
+
+
 class TestCount:
     def test_count_A_10(self, capsys):
         status, out, _ = run(capsys, "count", "--seq", "A", "--n", "10")
@@ -77,11 +86,9 @@ class TestEnumerate:
     def test_closed_reader_is_io_error(self):
         # the reader stops after one line, as `| head -1` does; 54,289
         # tilings overfill the pipe, so the writer meets the closed end
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        argv, env = cli_command("enumerate", "--n", "12")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "fencetiles.cli", "enumerate", "--n", "12"],
+            argv,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
@@ -100,6 +107,23 @@ class TestEnumerate:
         assert status == 0
         (line,) = out.splitlines()
         assert validate(line).board.n == 2000
+
+    @pytest.mark.parametrize(
+        "name, first",
+        [
+            ("none", "LLRR" * 15),
+            ("no-free-bifence", "LhR" + "LLRR" * 14 + "h"),
+            ("no-bifence", "LhRLhR" * 10),
+            ("odd-metatiles", "LhR" + "LLRR" * 13 + "LhR" + "hh"),
+        ],
+    )
+    def test_first_filtered_tiling_of_a_long_board(self, name, first):
+        # the walk never builds a tiling holding a forbidden metatile, so the
+        # first kept one costs no scan of the tilings before it
+        argv, env = cli_command("enumerate", "--n", "30", "--filter", name, "--limit", "1")
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=20)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == first + "\n"
 
     def test_filter(self, capsys):
         _, out, _ = run(capsys, "enumerate", "--n", "2", "--filter", "no-bifence")

@@ -20,14 +20,19 @@ from fencetiles.core import (
     has_bifence,
     has_even_metatile,
     has_free_bifence,
-    is_free_bifence,
     is_metatile,
     last_positions,
     metatile_encodings,
     validate,
 )
 from fencetiles.core import _paired, _split
-from fencetiles.sequences import fib
+from fencetiles.sequences import RESTRICTIONS, fib
+
+
+#: The record predicates: a metatile that is not the free bifence LLRR, and
+#: one that contains no bifence.
+NO_FREE_BIFENCE = RESTRICTIONS["no-free-bifence"].allowed
+NO_BIFENCE = RESTRICTIONS["no-bifence"].allowed
 
 
 def half_cell_tilings(n):
@@ -259,21 +264,26 @@ class TestEnumerate:
             }
 
         before = module_state()
-        walks = {7: enumerate_tilings(7), 9: enumerate_tilings(9)}
-        seen = {7: [], 9: []}
+        walks = {
+            7: enumerate_tilings(7),
+            9: enumerate_tilings(9),
+            "9 no-bifence": enumerate_tilings(9, NO_BIFENCE),
+        }
+        seen = {name: [] for name in walks}
         while walks:
-            for n, walk in list(walks.items()):
+            for name, walk in list(walks.items()):
                 t = next(walk, None)
                 if t is None:
-                    del walks[n]
+                    del walks[name]
                 else:
-                    seen[n].append(t.encoding)
+                    seen[name].append(t.encoding)
         assert seen[7] == half_cell_tilings(7)
         assert seen[9] == half_cell_tilings(9)
+        assert seen["9 no-bifence"] == [e for e in half_cell_tilings(9) if "LL" not in e]
         assert module_state() == before
 
     def test_filter_is_applied(self):
-        encs = [t.encoding for t in enumerate_tilings(2, lambda t: "h" in t.encoding)]
+        encs = [t.encoding for t in enumerate_tilings(2, lambda e: "h" in e)]
         assert encs == ["LhRh", "hLhR", "hhhh"]
 
 
@@ -376,16 +386,16 @@ class TestClassifiers:
 
     def test_free_bifence_segment(self):
         segs = decompose(validate("hhLLRR"))
-        assert [is_free_bifence(o) for o in segs] == [False, True]
+        assert [not NO_FREE_BIFENCE(o.encoding) for o in segs] == [False, True]
 
     def test_bifence_inside_mixed_metatile_is_not_free(self):
         (seg,) = decompose(validate("hLLRRh"))
-        assert not is_free_bifence(seg)
-        assert seg.metatile.contains_bifence
+        assert NO_FREE_BIFENCE(seg.encoding)
+        assert not NO_BIFENCE(seg.encoding)
 
     def test_plain_hh_is_not_a_bifence(self):
         (seg,) = decompose(validate("hh"))
-        assert not is_free_bifence(seg)
+        assert NO_FREE_BIFENCE(seg.encoding)
 
 
 class TestLastPositions:

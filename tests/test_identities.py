@@ -244,8 +244,8 @@ class TestCountedOnce:
     def patched(monkeypatch, rewrite):
         real = identities.enumerate_tilings
 
-        def enumerate_tilings(n, tile_filter=None):
-            return iter(rewrite(list(real(n, tile_filter))))
+        def enumerate_tilings(n, allowed=None):
+            return iter(rewrite(list(real(n, allowed))))
 
         monkeypatch.setattr(identities, "enumerate_tilings", enumerate_tilings)
 

@@ -10,8 +10,10 @@ from fencetiles.core import (
     has_bifence,
     has_even_metatile,
     has_free_bifence,
+    metatile_encodings,
 )
 from fencetiles.sequences import (
+    RESTRICTIONS,
     TABLES,
     SequenceTable,
     a_via_sum_form,
@@ -26,6 +28,7 @@ from fencetiles.sequences import (
     s_via_sum_form,
     sequence_csv,
     sequence_jsonl,
+    sum_form,
     t_via_sum_form,
 )
 
@@ -67,6 +70,73 @@ def fib_pair(n: int) -> tuple[int, int]:
     a, b = fib_pair(n // 2)
     c, d = a * (2 * b - a), a * a + b * b
     return (d, c + d) if n % 2 else (c, d)
+
+
+#: The whole-tiling test each restriction stands for: the tiling holds a
+#: metatile the restriction forbids.
+FORBIDS = {
+    "none": lambda t: False,
+    "no-free-bifence": has_free_bifence,
+    "no-bifence": has_bifence,
+    "odd-metatiles": has_even_metatile,
+}
+
+#: The hand-entered recurrence each restriction's table must equal.
+RECURRENCE_OF = {"none": "A", "no-free-bifence": "S", "no-bifence": "C", "odd-metatiles": "T"}
+
+
+def a_sum_form_running(n: int) -> int:
+    """A_n from conditioning on the last metatile: one metatile of length 1,
+    three of length 2, two of each longer length."""
+    if n < 0:
+        return 0
+    vals: list[int] = []
+    older = 0  # vals[0] + ... + vals[m - 3]
+    for m in range(n + 1):
+        total = 1 if m == 0 else 0
+        if m >= 1:
+            total += vals[m - 1]
+        if m >= 2:
+            total += 3 * vals[m - 2]
+        if m >= 3:
+            older += vals[m - 3]
+        total += 2 * older
+        vals.append(total)
+    return vals[n]
+
+
+def s_sum_form_running(n: int) -> int:
+    """S_n from conditioning on the last metatile (any but the bifence)."""
+    if n < 0:
+        return 0
+    vals: list[int] = []
+    older = 0  # vals[0] + ... + vals[m - 2]
+    for m in range(n + 1):
+        total = 1 if m == 0 else 0
+        if m >= 1:
+            total += vals[m - 1]
+        if m >= 2:
+            older += vals[m - 2]
+        total += 2 * older
+        vals.append(total)
+    return vals[n]
+
+
+def t_sum_form_running(n: int) -> int:
+    """T_n from conditioning on the last (odd-length) metatile."""
+    if n < 0:
+        return 0
+    vals: list[int] = []
+    tails = [0, 0]  # tails[m % 2] = vals[m - 3] + vals[m - 5] + ...
+    for m in range(n + 1):
+        total = 1 if m == 0 else 0
+        if m >= 1:
+            total += vals[m - 1]
+        if m >= 3:
+            tails[m % 2] += vals[m - 3]
+        total += 2 * tails[m % 2]
+        vals.append(total)
+    return vals[n]
 
 
 def a_sum_form_quadratic(n: int) -> list[int]:
@@ -182,6 +252,9 @@ class TestCountT:
 
 
 class TestSumFormTwins:
+    """The twins are derived from the metatile alphabet; the running-sum
+    bodies they replaced and the quadratic re-sums stay as oracles."""
+
     @pytest.mark.parametrize(
         "twin, oracle",
         [
@@ -192,6 +265,33 @@ class TestSumFormTwins:
     )
     def test_running_sums_match_quadratic_form_up_to_300(self, twin, oracle):
         assert [twin(n) for n in range(-2, 301)] == [0, 0] + oracle(300)
+
+    @pytest.mark.parametrize(
+        "twin, running",
+        [
+            (a_via_sum_form, a_sum_form_running),
+            (s_via_sum_form, s_sum_form_running),
+            (t_via_sum_form, t_sum_form_running),
+        ],
+    )
+    def test_derived_twin_equals_the_running_sums(self, twin, running):
+        assert [twin(n) for n in range(-2, 301)] == [running(n) for n in range(-2, 301)]
+
+    @pytest.mark.parametrize("name", sorted(RESTRICTIONS))
+    def test_derived_table_is_the_hand_entered_recurrence(self, name):
+        initial, coefficients = RECURRENCES[RECURRENCE_OF[name]]
+        oracle = MemoTable(initial, coefficients)
+        assert sum_form(RESTRICTIONS[name].allowed).values(300) == [
+            oracle.value(n) for n in range(301)
+        ]
+        assert RESTRICTIONS[name].table is TABLES[RECURRENCE_OF[name]]
+
+    @pytest.mark.parametrize("name", sorted(RESTRICTIONS))
+    def test_allowed_count_repeats_with_period_two_from_six_cells(self, name):
+        # the premise of the order-5 derivation: c_l = c_{l-2} for l >= 6
+        allowed = RESTRICTIONS[name].allowed
+        c = [sum(1 for e in metatile_encodings(l) if allowed(e)) for l in range(1, 61)]
+        assert all(c[l - 1] == c[l - 3] for l in range(6, 61))
 
 
 class TestFilteredEnumerationOracle:
@@ -212,8 +312,25 @@ class TestFilteredEnumerationOracle:
     @pytest.mark.parametrize("n", range(0, 11))
     def test_no_bifence_means_only_four_metatiles(self, n):
         allowed = {"hh", "LhRh", "hLhR", "LhRLhR"}
-        for t in enumerate_tilings(n, lambda t: not has_bifence(t)):
+        for t in enumerate_tilings(n, RESTRICTIONS["no-bifence"].allowed):
             assert {o.encoding for o in decompose(t)} <= allowed
+
+    @pytest.mark.parametrize("name", sorted(RESTRICTIONS))
+    def test_pruned_walk_is_the_filtered_walk(self, name):
+        # same tilings, same pieces, same order as generate-then-discard
+        for n in range(13):
+            pruned = enumerate_tilings(n, RESTRICTIONS[name].allowed)
+            kept = (t for t in enumerate_tilings(n) if not FORBIDS[name](t))
+            assert [(t.encoding, t.pieces) for t in pruned] == [
+                (t.encoding, t.pieces) for t in kept
+            ]
+
+    @pytest.mark.parametrize("name", sorted(RESTRICTIONS))
+    def test_record_predicate_agrees_with_the_tiling_test(self, name):
+        allowed = RESTRICTIONS[name].allowed
+        for n in range(11):
+            for t in enumerate_tilings(n):
+                assert all(map(allowed, t.pieces)) == (not FORBIDS[name](t))
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_odd_metatiles_only_is_T(self, n):
