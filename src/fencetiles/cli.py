@@ -14,7 +14,7 @@ import sys
 
 from . import bijection, identities, sequences
 from .core import enumerate_tilings, validate
-from .render import RenderSpec, render
+from .render import FORMATS, RenderSpec, render
 
 
 def _cmd_count(args) -> int:
@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="evaluate a sequence value")
-    p.add_argument("--seq", required=True, choices=["fib", "A", "S", "C", "T", "hsq"])
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--seq", required=True, choices=[*sequences.TABLES, "hsq"])
+    p.add_argument("--n", required=True, type=non_negative_int)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("enumerate", help="stream tilings of an n-board")
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="draw a tiling")
     p.add_argument("encoding")
-    p.add_argument("--format", default="ascii", choices=["ascii", "svg"])
+    p.add_argument("--format", default="ascii", choices=FORMATS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_render)
 

@@ -19,12 +19,18 @@ boundaries no fence spans.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator, Optional
 
 ALPHABET = frozenset("hLR")
+
+#: The metatile grammar: the free bifence on its own, or a chain of
+#: interlocking bifences closed on each side by a half-square or a filled
+#: fence.  Every tiling is one unique sequence of these.
+_METATILE = re.compile("LLRR|(?:h|LhR)(?:LLRR)*(?:h|LhR)")
 
 
 class InvalidTilingError(ValueError):
@@ -135,57 +141,37 @@ class Tiling:
         for p in ordered:
             if p.kind is TileKind.FENCE:
                 out[p.pos], out[p.pos + 2] = "L", "R"
-        return cls(_split("".join(out)))
-
-
-def _split(encoding: str) -> tuple[str, ...]:
-    """Cut a valid encoding into metatiles at every integer boundary 2k no
-    fence spans; a fence spans it exactly when its left post sits at 2k-2
-    or 2k-1.  The last cell holds no left post, so the final cut is 2n."""
-    pieces = []
-    start = 0
-    for k in range(2, len(encoding) + 1, 2):
-        if encoding[k - 2] != "L" and encoding[k - 1] != "L":
-            pieces.append(encoding[start:k])
-            start = k
-    return tuple(pieces)
-
-
-# L (resp. R) -> 1, every other symbol -> 0: the left (right) posts as a mask
-_L_POSTS = str.maketrans("hLR", "010")
-_R_POSTS = str.maketrans("hLR", "001")
-
-
-def _paired(encoding: str) -> bool:
-    """True when an R sits exactly two half-cells right of every L and every
-    R has that L: the L mask shifted right by two is the R mask, and no L
-    lies in the last cell.  One pass over an encoding of {h, L, R}."""
-    return "00" + encoding.translate(_L_POSTS) == encoding.translate(_R_POSTS) + "00"
+        return cls(tuple(_METATILE.findall("".join(out))))
 
 
 def validate(encoding: str) -> Tiling:
     """Parse a canonical encoding into a Tiling, rejecting anything invalid.
 
     The parse is deterministic: an L at p always pairs with the R at p+2.
-    Valid input is accepted in one pass (_paired); only rejected input is
+    Valid input is accepted and cut in one step: it is a tiling exactly when
+    the metatiles _METATILE finds cover it, and, the metatiles being a
+    prefix-free code, those matches are its pieces.  Only rejected input is
     read symbol by symbol, to name the first unpaired post.
     """
+    pieces = _METATILE.findall(encoding)
+    if "".join(pieces) == encoding:
+        return Tiling(tuple(pieces))
     if len(encoding) % 2:
         raise InvalidTilingError(f"encoding length {len(encoding)} is odd")
     unknown = set(encoding) - ALPHABET
     if unknown:
         raise InvalidTilingError(f"unknown symbols {sorted(unknown)!r}")
-    if not _paired(encoding):
-        for p, c in enumerate(encoding):
-            if c == "L":
-                if p + 2 >= len(encoding):
-                    raise InvalidTilingError(f"fence at {p} overhangs the board end")
-                if encoding[p + 2] != "R":
-                    raise InvalidTilingError(f"L at {p} has no matching R at {p + 2}")
-            elif c == "R":
-                if p < 2 or encoding[p - 2] != "L":
-                    raise InvalidTilingError(f"R at {p} has no matching L at {p - 2}")
-    return Tiling(_split(encoding))
+    for p, c in enumerate(encoding):
+        if c == "L":
+            if p + 2 >= len(encoding):
+                raise InvalidTilingError(f"fence at {p} overhangs the board end")
+            if encoding[p + 2] != "R":
+                raise InvalidTilingError(f"L at {p} has no matching R at {p + 2}")
+        elif c == "R":
+            if p < 2 or encoding[p - 2] != "L":
+                raise InvalidTilingError(f"R at {p} has no matching L at {p - 2}")
+    # every post paired and the length even: a tiling the grammar missed
+    raise AssertionError(f"_METATILE rejects the tiling {encoding!r}")
 
 
 def _metatile(lead: str, length_cells: int) -> str:
@@ -308,9 +294,7 @@ def metatile_encodings(length_cells: int) -> tuple[str, ...]:
 
 
 def is_metatile(encoding: str) -> bool:
-    if len(encoding) < 2 or len(encoding) % 2:
-        return False
-    return encoding in metatile_encodings(len(encoding) // 2)
+    return _METATILE.fullmatch(encoding) is not None
 
 
 def decompose(t: Tiling) -> list[MetatileOccurrence]:

@@ -13,15 +13,17 @@ from .core import Tiling
 
 _ASCII_SYMBOLS = str.maketrans("LR", "[]")
 
+FORMATS = ("ascii", "svg")
+
 
 @dataclass(frozen=True)
 class RenderSpec:
-    format: str = "ascii"  # "ascii" or "svg"
+    format: str = "ascii"  # one of FORMATS
     cell_width_px: int = 40
     show_cell_numbers: bool = False
 
     def __post_init__(self) -> None:
-        if self.format not in ("ascii", "svg"):
+        if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
         if self.cell_width_px <= 0:
             raise ValueError("cell_width_px must be positive")

@@ -48,6 +48,13 @@ class TestCount:
         status, out, _ = run(capsys, "count", "--seq", "hsq", "--n", "12")
         assert (status, out) == (0, "75025\n")
 
+    @pytest.mark.parametrize("seq", ["fib", "A", "S", "C", "T", "hsq"])
+    def test_negative_n_is_usage_error(self, capsys, seq):
+        # the tables read 0 below n = 0 (F_{-1} is 1), which is no answer
+        status, out, err = run(capsys, "count", "--seq", seq, "--n", "-1")
+        assert (status, out) == (2, "")
+        assert "must be non-negative" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("seq, n", [("fib", 30000), ("A", 12000)])
     def test_count_prints_values_beyond_the_digit_limit(self, capsys, seq, n):
         a, b = 0, 1
@@ -248,6 +255,39 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         status, _, _ = run(capsys, "count", "--seq", "A", "--n", "3", "--bogus")
         assert status == 2
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            (
+                "count",
+                """usage: fencetiles count [-h] --seq {fib,A,S,C,T,hsq} --n N
+
+options:
+  -h, --help            show this help message and exit
+  --seq {fib,A,S,C,T,hsq}
+  --n N
+""",
+            ),
+            (
+                "render",
+                """usage: fencetiles render [-h] [--format {ascii,svg}] [--out OUT] encoding
+
+positional arguments:
+  encoding
+
+options:
+  -h, --help            show this help message and exit
+  --format {ascii,svg}
+  --out OUT
+""",
+            ),
+        ],
+    )
+    def test_subcommand_help_is_pinned(self, capsys, monkeypatch, command, expected):
+        # the choices come from sequences.TABLES and render.FORMATS
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, command, "--help") == (0, expected, "")
 
     def test_help_exits_zero(self, capsys):
         status, out, _ = run(capsys, "--help")

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -25,7 +26,6 @@ from fencetiles.core import (
     metatile_encodings,
     validate,
 )
-from fencetiles.core import _paired, _split
 from fencetiles.sequences import RESTRICTIONS, fib
 
 
@@ -63,7 +63,7 @@ def half_cell_tilings(n):
 
 def symbolwise_validate(encoding: str) -> Tiling:
     """Reference: validate as it read before its one-pass accept, checking
-    the posts symbol by symbol."""
+    the posts symbol by symbol and cutting with the test-local cut_scan."""
     if len(encoding) % 2:
         raise InvalidTilingError(f"encoding length {len(encoding)} is odd")
     unknown = set(encoding) - ALPHABET
@@ -78,7 +78,7 @@ def symbolwise_validate(encoding: str) -> Tiling:
         elif c == "R":
             if p < 2 or encoding[p - 2] != "L":
                 raise InvalidTilingError(f"R at {p} has no matching L at {p - 2}")
-    return Tiling(_split(encoding))
+    return Tiling(tuple(cut_scan(encoding)))
 
 
 def outcome(parse, encoding):
@@ -145,12 +145,39 @@ class TestValidate:
             assert outcome(validate, e) == outcome(symbolwise_validate, e), e
 
     def test_one_pass_accept_is_the_symbolwise_accept(self):
-        # _paired accepts exactly what the per-symbol loop accepts, so valid
-        # input never reaches the loop and invalid input always does
+        # the metatile pattern covers exactly what the per-symbol loop
+        # accepts, with the cut scan's pieces, so valid input never reaches
+        # the loop and invalid input always does
         for e in strings("hLR", 10):
             if len(e) % 2 == 0:
+                pieces = core._METATILE.findall(e)
                 accepted = isinstance(outcome(symbolwise_validate, e), Tiling)
-                assert _paired(e) == accepted, e
+                assert ("".join(pieces) == e) == accepted, e
+                if accepted:
+                    assert pieces == cut_scan(e), e
+
+    @pytest.mark.parametrize(
+        "e", ["h" + "LLRR" * 10_000 + "h", "hh" * 20_000, "LLRR" * 10_000]
+    )
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_long_inputs_stay_fast(self, e, broken):
+        # one 20,001-cell metatile, 20,000 one-cell ones, 10,000 bifences:
+        # the pattern may neither backtrack quadratically nor recurse per symbol
+        if broken:  # a post turned into h, or an h into a lone L
+            e = e[:-3] + ("L" if e[-3] == "h" else "h") + e[-2:]
+        start = time.perf_counter()
+        got = outcome(validate, e)
+        assert time.perf_counter() - start < 2.0
+        assert got == outcome(symbolwise_validate, e)
+        assert isinstance(got, Tiling) != broken
+
+    def test_a_tiling_the_grammar_misses_is_not_passed_over(self, monkeypatch):
+        # the symbol loop raises for every rejected input; should the pattern
+        # ever reject a tiling, validate says so rather than return nothing
+        monkeypatch.setattr(core, "_METATILE", re.compile("hh"))
+        assert validate("hhhh").pieces == ("hh", "hh")
+        with pytest.raises(AssertionError, match="LLRR"):
+            validate("LLRR")
 
     def test_from_placements_rejects_double_cover(self):
         pl = validate("hhhh").placements
@@ -359,6 +386,13 @@ class TestMetatileGrammar:
         assert boundary_free == set(metatile_encodings(l))
         engine = {t.encoding for t in enumerate_tilings(l) if len(decompose(t)) == 1}
         assert engine == boundary_free
+
+    def test_is_metatile_is_membership_of_the_grammar(self):
+        # the definition is_metatile had before the pattern, kept as oracle
+        inputs = itertools.chain(strings("hLR", 12), strings("hLRx", 6))
+        for e in inputs:
+            member = len(e) % 2 == 0 and len(e) > 0 and e in metatile_encodings(len(e) // 2)
+            assert is_metatile(e) == member, e
 
     def test_grammar_members_are_valid_tilings(self):
         for l in range(1, 13):
