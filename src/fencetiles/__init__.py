@@ -6,6 +6,8 @@ the associated integer sequences, verifies the related identities, and
 runs the near-bijection behind the alternating-sign identity.
 """
 
+import gc as _gc
+
 from .bijection import (
     AllBifenceException,
     BijectionDomainError,
@@ -55,3 +57,5 @@ from .sequences import (
 )
 
 __version__ = "0.1.0"
+
+_gc.collect(1)  # walk the import's young objects now, not in the first call

@@ -2,10 +2,11 @@
 
 Each identity is one record of data.  It has a numeric mode (exact integer
 evaluation of both sides) and, where the proof is a conditioning argument
-over tilings, a combinatorial mode: one driver enumerates the boards, bins
-the tilings by the record's key (last fence, last half-square, last
-metatile of a forbidden kind) and checks every bin against its predicted
-count, not just the totals.
+over tilings, a combinatorial mode.  Identities 2-6 share one proof:
+condition on the last metatile a restriction forbids.  One loop
+enumerates the board, bins every tiling by the end cell and encoding of
+that metatile, and checks every bin against its predicted count, not just
+the totals.
 
 Combinatorial mode is exhaustive, so it only runs where the enumerated
 board is short enough (MAX_ORACLE_BOARD cells).
@@ -17,10 +18,10 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Hashable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import Tiling, enumerate_tilings, metatile_encodings
-from .sequences import A, FIB, RESTRICTIONS, Restriction
+from .sequences import A, C, FIB, RESTRICTIONS, S, T, Restriction, decimal, sum_form
 
 #: Longest board the combinatorial (exhaustive enumeration) mode will scan.
 MAX_ORACLE_BOARD = 14
@@ -69,8 +70,8 @@ class IdentityReport:
                 "rows": [
                     {
                         "n": r.n,
-                        "lhs": str(r.lhs),
-                        "rhs": str(r.rhs),
+                        "lhs": decimal(r.lhs),
+                        "rhs": decimal(r.rhs),
                         "pass": r.passed,
                     }
                     for r in self.rows
@@ -85,7 +86,9 @@ class IdentityReport:
         ]
         for r in self.rows:
             status = "pass" if r.passed else "FAIL"
-            lines.append(f"  n={r.n:<3d} lhs={r.lhs} rhs={r.rhs} {status}")
+            lines.append(
+                f"  n={r.n:<3d} lhs={decimal(r.lhs)} rhs={decimal(r.rhs)} {status}"
+            )
         lines.append("  all pass" if self.all_pass else "  FAILED")
         return "\n".join(lines)
 
@@ -101,17 +104,15 @@ class _Identity:
     """An identity as data: the least n it holds for, and its numeric rows
     for n = n_min..n_max.
 
-    Where the proof conditions on a last feature, combinatorial mode
-    enumerates board(n) and bins each tiling by key(t) (None leaves it
-    unbinned); bins(n, a), with a = [A_0, ..., A_board], gives the
-    predicted count of every bin and the number of tilings binned in all.
+    Where the proof conditions on the last metatile a restriction forbids,
+    combinatorial mode enumerates board(n), bins its tilings by that
+    metatile (_scan) and checks the bins against _predicted.
     """
 
     n_min: int
     numeric: Callable[[int], list[IdentityRow]]
     board: Optional[Callable[[int], int]] = None
-    key: Optional[Callable[[Tiling], Hashable]] = None
-    bins: Optional[Callable[[int, list[int]], tuple[dict, int]]] = None
+    restriction: Optional[Restriction] = None
 
 
 def _identity_1_rows(n_max: int) -> list[IdentityRow]:
@@ -133,19 +134,6 @@ def _identity_2_rows(n_max: int) -> list[IdentityRow]:
     return rows
 
 
-def _last_fence(t: Tiling) -> Optional[int]:
-    # k when the last fence's right post sits on cell k+2 (half-cell 2k+2 or
-    # 2k+3); the all-h tiling of the (n+2)-board has no fence and is left
-    # unbinned
-    q = t.encoding.rfind("R")
-    return None if q < 0 else q // 2 - 1
-
-
-def _last_fence_bins(n: int, a: list[int]) -> tuple[dict, int]:
-    prefix = list(accumulate(a, initial=0))
-    return {k: 3 * a[k] + 2 * prefix[k] for k in range(n + 1)}, a[n + 2] - 1
-
-
 def _identity_3_rows(n_max: int) -> list[IdentityRow]:
     """F_{2n+2}^2 = F_1^2 + sum_{k=1..n} { F_{2k+1}^2 + 2 sum_{i=1..2k} F_i^2 }."""
     sq, prefix = _squares(2 * n_max + 2)
@@ -155,18 +143,6 @@ def _identity_3_rows(n_max: int) -> list[IdentityRow]:
         rhs += sq[2 * n + 1] + 2 * prefix[2 * n + 1]
         rows.append(IdentityRow(n, sq[2 * n + 2], rhs))
     return rows
-
-
-def _last_h(t: Tiling) -> Optional[int]:
-    # k when the last h sits on the odd cell 2k+1 (half-cell 4k or 4k+1);
-    # every tiling of the (2n+1)-board has one, so None marks a fault
-    p = t.encoding.rfind("h")
-    return None if p < 0 or p // 2 % 2 else p // 4
-
-
-def _last_h_bins(n: int, a: list[int]) -> tuple[dict, int]:
-    prefix = list(accumulate(a, initial=0))
-    return {k: a[2 * k] + 2 * prefix[2 * k] for k in range(n + 1)}, a[2 * n + 1]
 
 
 def _convolution_rows(n_max, table, weights, sq) -> list[IdentityRow]:
@@ -181,13 +157,13 @@ def _convolution_rows(n_max, table, weights, sq) -> list[IdentityRow]:
     return rows
 
 
-def _identity_4_rows(n_max: int, table) -> list[IdentityRow]:
+def _identity_4_rows(n_max: int) -> list[IdentityRow]:
     """F_{n+1}^2 = S_n + sum_{k=2..n} F_{k-1}^2 S_{n-k}."""
     sq, _ = _squares(n_max + 1)
-    return _convolution_rows(n_max, table, [0] + sq, sq)  # weight F_{k-1}^2
+    return _convolution_rows(n_max, S, [0] + sq, sq)  # weight F_{k-1}^2
 
 
-def _identity_5_rows(n_max: int, table) -> list[IdentityRow]:
+def _identity_5_rows(n_max: int) -> list[IdentityRow]:
     """F_{n+1}^2 = C_n + sum_k F_{k-1}^2 C_{n-k}
     + sum_k sum_{l=3..k} (2 - [l=3]) F_{k-l+1}^2 C_{n-k}."""
     # the weight of C_{n-k} is F_{k-1}^2 from the first sum, F_{k-2}^2 from
@@ -196,10 +172,10 @@ def _identity_5_rows(n_max: int, table) -> list[IdentityRow]:
     weights = [0, 0] + [
         sq[k - 1] + sq[k - 2] + 2 * prefix[k - 2] for k in range(2, n_max + 1)
     ]
-    return _convolution_rows(n_max, table, weights, sq)
+    return _convolution_rows(n_max, C, weights, sq)
 
 
-def _identity_6_rows(n_max: int, table) -> list[IdentityRow]:
+def _identity_6_rows(n_max: int) -> list[IdentityRow]:
     """F_{n+1}^2 = T_n + sum_k sum_j (2 + [j=1]) F_{k-2j+1}^2 T_{n-k}."""
     # the weight of T_{n-k} is sum_j (2 + [j=1]) F_{k-2j+1}^2 = 2 alt[k-1] +
     # F_{k-1}^2, where alt[m] = F_m^2 + F_{m-2}^2 + ... down to F_1^2 or F_0^2
@@ -208,41 +184,7 @@ def _identity_6_rows(n_max: int, table) -> list[IdentityRow]:
     for m in range(2, n_max + 1):
         alt.append(sq[m] + alt[m - 2])
     weights = [0] + [2 * a + f2 for a, f2 in zip(alt, sq)]
-    return _convolution_rows(n_max, table, weights, sq)
-
-
-def _last_metatile(numeric, restriction: Restriction) -> _Identity:
-    """Identities 4-6: bin a tiling of the n-board by the end cell k and the
-    encoding of its last metatile the restriction forbids.
-
-    A piece of l cells ending on cell k comes after any of the A_{k-l}
-    tilings of the cells before it and before a tiling of the last n-k
-    cells the restriction admits; its table counts those, X_{n-k}.  The X_n
-    tilings the restriction admits are left unbinned.  numeric(n_max,
-    table) gives the identity's numeric rows.
-    """
-    table, allowed = restriction
-
-    def key(t: Tiling) -> Optional[tuple[int, str]]:
-        end = len(t.encoding) // 2
-        for piece in reversed(t.pieces):
-            if not allowed(piece):
-                return end, piece
-            end -= len(piece) // 2
-        return None
-
-    def bins(n: int, a: list[int]) -> tuple[dict, int]:
-        x = table.values(n)
-        expected = {
-            (k, piece): a[k - l] * x[n - k]
-            for l in range(1, n + 1)
-            for piece in metatile_encodings(l)
-            if not allowed(piece)
-            for k in range(l, n + 1)
-        }
-        return expected, a[n] - x[n]
-
-    return _Identity(0, lambda n_max: numeric(n_max, table), lambda n: n, key, bins)
+    return _convolution_rows(n_max, T, weights, sq)
 
 
 def _identity_7_rows(n_max: int) -> list[IdentityRow]:
@@ -258,42 +200,93 @@ def _identity_7_rows(n_max: int) -> list[IdentityRow]:
     ]
 
 
+def _only(piece: str) -> Restriction:
+    """The restriction that admits the one metatile piece alone, with the
+    table sum_form derives for it."""
+    return Restriction(sum_form(piece.__eq__), piece.__eq__)
+
+
 _IDENTITIES = {
     1: _Identity(2, _identity_1_rows),
-    2: _Identity(0, _identity_2_rows, lambda n: n + 2, _last_fence, _last_fence_bins),
-    3: _Identity(0, _identity_3_rows, lambda n: 2 * n + 1, _last_h, _last_h_bins),
+    # the last fence lies in the last metatile other than hh; X = 1
+    2: _Identity(0, _identity_2_rows, lambda n: n + 2, _only("hh")),
+    # the last half-square lies in the last metatile other than a free
+    # bifence; X = 1, 0, 1, 0, ...
+    3: _Identity(0, _identity_3_rows, lambda n: 2 * n + 1, _only("LLRR")),
     # the last free bifence, metatile containing a bifence, even-length metatile
-    4: _last_metatile(_identity_4_rows, RESTRICTIONS["no-free-bifence"]),
-    5: _last_metatile(_identity_5_rows, RESTRICTIONS["no-bifence"]),
-    6: _last_metatile(_identity_6_rows, RESTRICTIONS["odd-metatiles"]),
+    4: _Identity(0, _identity_4_rows, lambda n: n, RESTRICTIONS["no-free-bifence"]),
+    5: _Identity(0, _identity_5_rows, lambda n: n, RESTRICTIONS["no-bifence"]),
+    6: _Identity(0, _identity_6_rows, lambda n: n, RESTRICTIONS["odd-metatiles"]),
     7: _Identity(1, _identity_7_rows),
 }
 
 #: The identities with a combinatorial mode.
-COMBINATORIAL = tuple(i for i, ident in _IDENTITIES.items() if ident.key is not None)
+COMBINATORIAL = tuple(
+    i for i, ident in _IDENTITIES.items() if ident.restriction is not None
+)
+
+
+def _predicted(restriction: Restriction, board: int, a: list[int]) -> tuple[dict, int]:
+    """The count _scan should find in every bin over the tilings of the
+    board, with a = [A_0, ..., A_board], and the number of tilings binned.
+
+    A forbidden piece of l cells ending on cell k comes after any of the
+    A_{k-l} tilings of the cells before it and before any of the X_{board-k}
+    tilings of the cells after it that the restriction admits, X being its
+    table.  A bin with X_{board-k} = 0 cannot occur and is left out.  The
+    X_board tilings the restriction admits throughout are left unbinned.
+    """
+    table, allowed = restriction
+    x = table.values(board)
+    expected = {
+        (k, piece): a[k - l] * x[board - k]
+        for l in range(1, board + 1)
+        for piece in metatile_encodings(l)
+        if not allowed(piece)
+        for k in range(l, board + 1)
+        if x[board - k]
+    }
+    return expected, a[board] - x[board]
+
+
+def _scan(
+    tilings: Iterable[Tiling], allowed: Callable[[str], bool]
+) -> tuple[dict, int, bool]:
+    """Bin tilings by the (end cell, encoding) of their last metatile
+    allowed forbids, leaving unbinned those it admits throughout.  Returns
+    the bin counts, the number of tilings scanned, and whether their
+    encodings came in strictly increasing order: over one enumeration,
+    that proves in O(1) memory that no tiling is counted twice.
+    """
+    observed: dict = {}
+    prev, scanned, ordered = None, 0, True
+    for t in tilings:
+        encoding = t.encoding
+        if prev is not None and encoding <= prev:
+            ordered = False
+        prev = encoding
+        scanned += 1
+        end = len(encoding)  # in half-cells
+        for piece in reversed(t.pieces):
+            if not allowed(piece):
+                key = (end // 2, piece)
+                observed[key] = observed.get(key, 0) + 1
+                break
+            end -= len(piece)
+    return observed, scanned, ordered
 
 
 def _combinatorial_row(ident: _Identity, n: int) -> IdentityRow:
     """Bin every tiling of board(n).  The row passes when every tiling was
     scanned once, every bin holds its predicted count, no other bin occurs,
     and the bins hold the predicted total.
-
-    The enumeration yields encodings in strictly increasing order; checking
-    that proves, in O(1) memory, that no tiling is counted twice.
     """
     board = ident.board(n)
     a = A.values(board)
-    expected, relevant = ident.bins(n, a)
-    observed: dict = {}
-    prev, scanned, ordered = None, 0, True
-    for t in enumerate_tilings(board):
-        if prev is not None and t.encoding <= prev:
-            ordered = False
-        prev = t.encoding
-        scanned += 1
-        key = ident.key(t)
-        if key is not None:
-            observed[key] = observed.get(key, 0) + 1
+    expected, relevant = _predicted(ident.restriction, board, a)
+    observed, scanned, ordered = _scan(
+        enumerate_tilings(board), ident.restriction.allowed
+    )
     binned = sum(observed.values())
     bins_ok = (
         ordered and scanned == a[board] and observed == expected and binned == relevant
@@ -313,7 +306,7 @@ def verify(
     ident = _IDENTITIES[identity_id]
     if n_max < ident.n_min:
         raise ValueError(f"identity {identity_id} needs n_max >= {ident.n_min}")
-    if combinatorial and ident.key is not None:
+    if combinatorial and ident.restriction is not None:
         mode = Mode.COMBINATORIAL
         rows = [
             _combinatorial_row(ident, n)

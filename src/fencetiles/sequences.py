@@ -114,8 +114,9 @@ class Restriction(NamedTuple):
     allowed: Callable[[str], bool]
 
 
-#: The CLI --filter rules; identities 4-6 condition on the last metatile
-#: the rule forbids.
+#: The CLI --filter rules.  Identities 4-6 condition on the last metatile
+#: one of these forbids; identities 2 and 3 on the last one other than hh,
+#: and other than LLRR, restrictions kept out of the filters.
 RESTRICTIONS = {
     "none": Restriction(A, lambda e: True),
     "no-free-bifence": Restriction(S, lambda e: e != "LLRR"),
@@ -135,7 +136,8 @@ def sum_form(allowed: Callable[[str], bool]) -> SequenceTable:
 
     From 3 cells up a metatile is (h | LhR), then bifences, then (h | LhR).
     A predicate that reads only that family and the parity of l, as every
-    one in RESTRICTIONS does, has c_l = c_{l-2} for l >= 6, so
+    one in RESTRICTIONS and the one-metatile ones of identities 2 and 3
+    do, has c_l = c_{l-2} for l >= 6, so
     X_m = X_{m-2} + sum_{l<=5} (c_l - c_{l-2}) X_{m-l}: an order-5
     recurrence whose first five terms come from the direct sum.
     """

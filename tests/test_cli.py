@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fencetiles import identities
 from fencetiles.cli import main
 from fencetiles.core import validate
 from fencetiles.sequences import count_A
@@ -181,6 +182,36 @@ class TestVerify:
         assert status == 0
         assert "combinatorial" in out
 
+    @staticmethod
+    def fib_pair(n: int) -> tuple[int, int]:
+        """(F_n, F_{n+1}) by fast doubling."""
+        if n == 0:
+            return 0, 1
+        a, b = TestVerify.fib_pair(n // 2)
+        c, d = a * (2 * b - a), a * a + b * b
+        return (d, c + d) if n % 2 else (c, d)
+
+    @staticmethod
+    def by_limbs(value: int) -> str:
+        """Decimal text by repeated division into base-10^9 limbs."""
+        limbs = []
+        while value:
+            value, limb = divmod(value, 10**9)
+            limbs.append(limb)
+        return str(limbs[-1]) + "".join(f"{x:09d}" for x in reversed(limbs[:-1]))
+
+    def test_rows_beyond_the_digit_limit(self, capsys):
+        # identity 3's last row at n = 5200 is F_{10402}^2 on both sides
+        expected = self.by_limbs(self.fib_pair(10402)[0] ** 2)
+        limit = sys.get_int_max_str_digits()
+        assert len(expected) > limit
+        status, out, err = run(capsys, "verify", "--identity", "3", "--max-n", "5200")
+        assert (status, err) == (0, "")
+        assert f"  n=5200 lhs={expected} rhs={expected} pass" in out.splitlines()
+        row = json.loads(identities.verify(3, 5200).to_json())["rows"][-1]
+        assert row == {"n": 5200, "lhs": expected, "rhs": expected, "pass": True}
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestBijection:
     def test_mapping_table(self, capsys):
@@ -293,3 +324,15 @@ options:
         status, out, _ = run(capsys, "--help")
         assert status == 0
         assert "usage" in out
+
+
+class TestImport:
+    def test_import_leaves_no_young_collection_pending(self):
+        # the package collects its import-time objects itself, so the first
+        # call after `import fencetiles` does not walk them
+        argv, env = cli_command()
+        code = "import gc, fencetiles; print(gc.get_count()[1])"
+        proc = subprocess.run(
+            [argv[0], "-c", code], capture_output=True, text=True, env=env, timeout=20
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n")

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -211,29 +212,64 @@ class TestCombinatorialModes:
         assert report.n_max == 6  # a 13-cell board is the longest scanned
 
 
-def last_fence_via_positions(t: Tiling):
-    # k when the last fence's right post sits on cell k+2; the all-h tiling
-    # of the (n+2)-board has no fence and is left unbinned
-    cell = last_positions(t).last_fence_cell
-    return None if cell is None else cell - 2
+def bin_of(ident: int, t: Tiling):
+    """The bin combinatorial mode of the identity puts t in, or None."""
+    allowed = identities._IDENTITIES[ident].restriction.allowed
+    observed, scanned, _ = identities._scan([t], allowed)
+    assert scanned == 1
+    return next(iter(observed), None)
 
 
-def last_h_via_positions(t: Tiling):
-    # k when the last h sits on the odd cell 2k+1 (half-cell 4k or 4k+1);
-    # every tiling of the (2n+1)-board has one, so None marks a fault
-    p = last_positions(t).last_h_halfcell
-    return None if p is None or p // 2 % 2 else p // 4
+def end_cell(key):
+    return None if key is None else key[0]
+
+
+def _last_fence_bins(n: int, a: list[int]) -> tuple[dict, int]:
+    # the bins of identity 2 keyed by k, the last fence ending on cell k+2
+    prefix = list(accumulate(a, initial=0))
+    return {k: 3 * a[k] + 2 * prefix[k] for k in range(n + 1)}, a[n + 2] - 1
+
+
+def _last_h_bins(n: int, a: list[int]) -> tuple[dict, int]:
+    # the bins of identity 3 keyed by k, the last h on cell 2k+1
+    prefix = list(accumulate(a, initial=0))
+    return {k: a[2 * k] + 2 * prefix[2 * k] for k in range(n + 1)}, a[2 * n + 1]
 
 
 class TestLastFeatureKeys:
-    """The bin keys of identities 2 and 3 read rfind on the encoding; the
-    reference reads them through last_positions, as the keys once did."""
+    """Identities 2 and 3 bin by the last metatile other than hh and other
+    than a free bifence; those end on the cell of the last fence and of the
+    last half-square, as the paper conditions.  The references read those
+    cells through last_positions, and the per-cell bin formulas the two
+    identities once had of their own."""
 
     def test_keys_equal_the_last_positions_reference(self):
         for n in range(13):
             for t in enumerate_tilings(n):
-                assert identities._last_fence(t) == last_fence_via_positions(t)
-                assert identities._last_h(t) == last_h_via_positions(t)
+                # None when there is no fence (all h) or no h (all bifences)
+                last = last_positions(t)
+                assert end_cell(bin_of(2, t)) == last.last_fence_cell
+                p = last.last_h_halfcell
+                assert end_cell(bin_of(3, t)) == (None if p is None else p // 2 + 1)
+
+    @pytest.mark.parametrize(
+        "ident, reference, cell",
+        [(2, _last_fence_bins, lambda k: k + 2), (3, _last_h_bins, lambda k: 2 * k + 1)],
+    )
+    def test_predictions_summed_per_cell_equal_the_reference(
+        self, ident, reference, cell
+    ):
+        record = identities._IDENTITIES[ident]
+        for n in range(31):
+            board = record.board(n)
+            a = A.values(board)
+            expected, relevant = identities._predicted(record.restriction, board, a)
+            per_cell = Counter()
+            for (end, _), count in expected.items():
+                per_cell[end] += count
+            bins, total = reference(n, a)
+            assert dict(per_cell) == {cell(k): v for k, v in bins.items()}, n
+            assert relevant == total
 
 
 class TestCountedOnce:
@@ -251,12 +287,14 @@ class TestCountedOnce:
 
     @staticmethod
     def duplicate_within_a_bin(tilings):
-        # the second- and third-last tilings end in hLhR and LhRh, so they
-        # share a last-fence bin: count the third-last twice instead
-        a, b = tilings[-3], tilings[-2]
-        assert (a.encoding[-4:], b.encoding[-4:]) == ("LhRh", "hLhR")
-        assert last_positions(a).last_fence_cell == last_positions(b).last_fence_cell
-        return tilings[:-2] + [a] + tilings[-1:]
+        # two tilings of the 6-board whose last metatile other than hh is
+        # the same hLhR on cell 6: count the first twice instead
+        if tilings[0].board.n != 6:
+            return tilings
+        encodings = [t.encoding for t in tilings]
+        i, j = encodings.index("hhhhhLhRhLhR"), encodings.index("hhhhhhhhhLhR")
+        assert bin_of(2, tilings[i]) == bin_of(2, tilings[j]) == (6, "hLhR")
+        return tilings[:j] + [tilings[i]] + tilings[j + 1 :]
 
     def test_duplicate_fails(self, monkeypatch):
         self.patched(monkeypatch, self.duplicate_within_a_bin)
@@ -289,7 +327,15 @@ class TestDriverFaults:
         assert row.lhs == row.rhs - binned
 
     @pytest.mark.parametrize(
-        "ident, piece", [(4, "LLRR"), (5, "hLLRRh"), (5, "LhRLLRRh"), (6, "LhRh")]
+        "ident, piece",
+        [
+            (2, "hLhR"),
+            (3, "hh"),
+            (4, "LLRR"),
+            (5, "hLLRRh"),
+            (5, "LhRLLRRh"),
+            (6, "LhRh"),
+        ],
     )
     def test_grammar_missing_an_allowed_piece_fails(self, monkeypatch, ident, piece):
         real = identities.metatile_encodings
@@ -303,29 +349,31 @@ class TestDriverFaults:
 
 
 class TestLastMetatileCoefficients:
-    """The allowed pieces of each length are the coefficients of the paper's
-    formulas, so the combinatorial rows of identities 4-6 check the paper's
-    sums and not only the grammar."""
+    """The forbidden pieces of each length are the coefficients of the
+    paper's formulas, so the combinatorial rows of identities 2-6 check the
+    paper's sums and not only the grammar."""
 
     PAPER = {
+        2: lambda l: {1: 0, 2: 3}.get(l, 2),
+        3: lambda l: 1 if l == 1 else 2,
         4: lambda l: 1 if l == 2 else 0,
         5: lambda l: {1: 0, 2: 1, 3: 1}.get(l, 2),
         6: lambda l: 3 if l == 2 else 2 if l % 2 == 0 else 0,
     }
 
-    @pytest.mark.parametrize("ident", [4, 5, 6])
+    @pytest.mark.parametrize("ident", [2, 3, 4, 5, 6])
     def test_allowed_pieces_per_length(self, ident):
-        n = 30
-        record = identities._IDENTITIES[ident]
-        expected, _ = record.bins(n, A.values(n))
-        ending_last = Counter(len(piece) // 2 for k, piece in expected if k == n)
+        board = 30
+        restriction = identities._IDENTITIES[ident].restriction
+        expected, _ = identities._predicted(restriction, board, A.values(board))
+        ending_last = Counter(len(piece) // 2 for k, piece in expected if k == board)
         keyed = Counter(
             l
-            for l in range(1, n + 1)
+            for l in range(1, board + 1)
             for e in metatile_encodings(l)
-            if record.key(Tiling((e,))) == (l, e)
+            if identities._scan([Tiling((e,))], restriction.allowed)[0] == {(l, e): 1}
         )
-        for l in range(1, n + 1):
+        for l in range(1, board + 1):
             assert ending_last[l] == keyed[l] == self.PAPER[ident](l), l
 
 

@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from fencetiles import identities
 from fencetiles.core import (
     count_tilings,
     decompose,
@@ -251,6 +252,18 @@ class TestCountT:
         assert all(count_T(n) == t_via_sum_form(n) for n in range(201))
 
 
+#: The predicates of the one-metatile restrictions identities 2 and 3
+#: condition on, which RESTRICTIONS leaves out of the CLI filters.
+ONE_METATILE = {i: identities._IDENTITIES[i].restriction.allowed for i in (2, 3)}
+
+#: Every predicate sum_form derives a table for.
+PREDICATES = {
+    **{name: r.allowed for name, r in RESTRICTIONS.items()},
+    "only-hh": ONE_METATILE[2],
+    "only-LLRR": ONE_METATILE[3],
+}
+
+
 class TestSumFormTwins:
     """The twins are derived from the metatile alphabet; the running-sum
     bodies they replaced and the quadratic re-sums stay as oracles."""
@@ -286,10 +299,22 @@ class TestSumFormTwins:
         ]
         assert RESTRICTIONS[name].table is TABLES[RECURRENCE_OF[name]]
 
-    @pytest.mark.parametrize("name", sorted(RESTRICTIONS))
+    @pytest.mark.parametrize(
+        "ident, period", [(2, (1,)), (3, (1, 0))], ids=["only-hh", "only-LLRR"]
+    )
+    def test_one_metatile_tables(self, ident, period):
+        # all h, or all free bifences: one tiling of every board, or of the
+        # even ones
+        allowed = ONE_METATILE[ident]
+        expected = [period[n % len(period)] for n in range(301)]
+        assert sum_form(allowed).values(300) == expected
+        table = identities._IDENTITIES[ident].restriction.table
+        assert [table.value(n) for n in range(301)] == expected
+
+    @pytest.mark.parametrize("name", sorted(PREDICATES))
     def test_allowed_count_repeats_with_period_two_from_six_cells(self, name):
         # the premise of the order-5 derivation: c_l = c_{l-2} for l >= 6
-        allowed = RESTRICTIONS[name].allowed
+        allowed = PREDICATES[name]
         c = [sum(1 for e in metatile_encodings(l) if allowed(e)) for l in range(1, 61)]
         assert all(c[l - 1] == c[l - 3] for l in range(6, 61))
 
