@@ -23,9 +23,6 @@ from .core import (
     Board,
     HalfSquareStatus,
     InvalidTilingError,
-    LastPositions,
-    Metatile,
-    MetatileOccurrence,
     TileKind,
     TilePlacement,
     Tiling,
@@ -42,7 +39,7 @@ from .core import (
     validate,
 )
 from .identities import IdentityReport, IdentityRow, Mode, verify, verify_all
-from .render import RenderSpec, render, render_ascii, render_svg
+from .render import render, render_ascii, render_svg
 from .sequences import (
     SequenceTable,
     count_A,

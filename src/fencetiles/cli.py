@@ -14,7 +14,7 @@ import sys
 
 from . import bijection, identities, sequences
 from .core import enumerate_tilings, validate
-from .render import FORMATS, RenderSpec, render
+from .render import FORMATS, render
 
 
 def _cmd_count(args) -> int:
@@ -88,7 +88,7 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    text = render(validate(args.encoding), RenderSpec(format=args.format))
+    text = render(validate(args.encoding), args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -14,7 +14,8 @@ deterministic: an ``L`` at p always pairs with the ``R`` at p+2.
 
 A metatile is a minimal run of tiles covering a whole number of adjacent
 cells; every tiling splits uniquely into metatiles at the integer cell
-boundaries no fence spans.
+boundaries no fence spans.  A Tiling holds its encoding as those metatiles;
+validate builds one from an encoding, Tiling.from_placements from tiles.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterator, Optional
 
 ALPHABET = frozenset("hLR")
@@ -84,7 +86,7 @@ class Tiling:
     ``pieces`` are the metatile encodings from left to right and
     ``encoding`` is their concatenation; ``placements`` is derived from it.
     The constructor trusts its pieces: build tilings from outside input
-    with validate (Tiling.from_encoding) or Tiling.from_placements.
+    with validate or Tiling.from_placements.
     """
 
     pieces: tuple[str, ...]
@@ -114,10 +116,6 @@ class Tiling:
             for p, c in enumerate(self.encoding)
             if c != "R"
         )
-
-    @classmethod
-    def from_encoding(cls, encoding: str) -> "Tiling":
-        return validate(encoding)
 
     @classmethod
     def from_placements(cls, n: int, placements) -> "Tiling":
@@ -249,34 +247,6 @@ def count_tilings(
     return sum(1 for t in enumerate_tilings(n) if tile_filter is None or tile_filter(t))
 
 
-@dataclass(frozen=True)
-class Metatile:
-    """A boundary-free tiling segment covering a whole number of cells."""
-
-    encoding: str
-
-    @property
-    def length_cells(self) -> int:
-        return len(self.encoding) // 2
-
-
-@dataclass(frozen=True)
-class MetatileOccurrence:
-    """A metatile at a position; identity is (start cell, encoding)."""
-
-    start_cell: int  # 0-based cell index of the first covered cell
-    metatile: Metatile
-
-    @property
-    def encoding(self) -> str:
-        return self.metatile.encoding
-
-    @property
-    def end_cell(self) -> int:
-        """1-based index of the last cell the metatile covers."""
-        return self.start_cell + self.metatile.length_cells
-
-
 def metatile_encodings(length_cells: int) -> tuple[str, ...]:
     """All metatile encodings of the given length in cells.
 
@@ -297,17 +267,11 @@ def is_metatile(encoding: str) -> bool:
     return _METATILE.fullmatch(encoding) is not None
 
 
-def decompose(t: Tiling) -> list[MetatileOccurrence]:
-    """Split a tiling into its metatiles, read off the tiling's pieces.
-
-    Concatenating the segment encodings recreates the tiling's encoding.
-    """
-    out = []
-    cell = 0
-    for piece in t.pieces:
-        out.append(MetatileOccurrence(cell, Metatile(piece)))
-        cell += len(piece) // 2
-    return out
+def decompose(t: Tiling) -> list[tuple[int, str]]:
+    """The tiling's metatiles as (start cell, encoding) pairs, left to
+    right, read off its pieces; start cells are 0-based."""
+    starts = accumulate((len(piece) // 2 for piece in t.pieces), initial=0)
+    return list(zip(starts, t.pieces))
 
 
 def classify_h(t: Tiling, p: int) -> HalfSquareStatus:
@@ -321,27 +285,14 @@ def classify_h(t: Tiling, p: int) -> HalfSquareStatus:
     return HalfSquareStatus.FREE
 
 
-@dataclass(frozen=True)
-class LastPositions:
-    """Rightmost landmarks of a tiling.
-
-    last_fence_cell is the 1-based cell containing the right post of the
-    last fence; last_h_halfcell is the half-cell index of the rightmost
-    half-square.  Either is None when no such tile exists.
-    """
-
-    last_fence_cell: Optional[int]
-    last_h_halfcell: Optional[int]
-
-
-def last_positions(t: Tiling) -> LastPositions:
+def last_positions(t: Tiling) -> tuple[Optional[int], Optional[int]]:
+    """(last fence cell, last h half-cell): the 1-based cell holding the
+    right post of the last fence and the half-cell index of the rightmost
+    half-square, each None when the tiling has no such tile."""
     enc = t.encoding
     q = enc.rfind("R")
     p = enc.rfind("h")
-    return LastPositions(
-        last_fence_cell=q // 2 + 1 if q >= 0 else None,
-        last_h_halfcell=p if p >= 0 else None,
-    )
+    return (q // 2 + 1 if q >= 0 else None, p if p >= 0 else None)
 
 
 def has_free_bifence(t: Tiling) -> bool:

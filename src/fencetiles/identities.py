@@ -303,7 +303,10 @@ def verify(
     n = DEFAULT_ORACLE_N and boards of MAX_ORACLE_BOARD cells; any other
     call checks numerically.
     """
-    ident = _IDENTITIES[identity_id]
+    ident = _IDENTITIES.get(identity_id)
+    if ident is None:
+        choices = ", ".join(map(str, _IDENTITIES))
+        raise ValueError(f"unknown identity {identity_id!r}, expected one of {choices}")
     if n_max < ident.n_min:
         raise ValueError(f"identity {identity_id} needs n_max >= {ident.n_min}")
     if combinatorial and ident.restriction is not None:

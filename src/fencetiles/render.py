@@ -1,13 +1,12 @@
 """Deterministic ascii and SVG pictures of tilings.
 
-Rendering is a pure function of (encoding, RenderSpec): the same input
-always produces byte-identical output.  Posts are drawn filled, half-squares
-outlined, fence gaps left empty, and cell boundaries ruled.
+Rendering is a pure function of the encoding and the drawing arguments:
+the same input always produces byte-identical output.  Posts are drawn
+filled, half-squares outlined, fence gaps left empty, and cell boundaries
+ruled.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import Tiling
 
@@ -16,23 +15,13 @@ _ASCII_SYMBOLS = str.maketrans("LR", "[]")
 FORMATS = ("ascii", "svg")
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    format: str = "ascii"  # one of FORMATS
-    cell_width_px: int = 40
-    show_cell_numbers: bool = False
-
-    def __post_init__(self) -> None:
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.cell_width_px <= 0:
-            raise ValueError("cell_width_px must be positive")
-
-
-def render(t: Tiling, spec: RenderSpec = RenderSpec()) -> str:
-    if spec.format == "svg":
-        return render_svg(t, spec.cell_width_px, spec.show_cell_numbers)
-    return render_ascii(t, spec.show_cell_numbers)
+def render(t: Tiling, fmt: str = "ascii") -> str:
+    """The picture of t in fmt, one of FORMATS, with default drawing arguments."""
+    if fmt == "ascii":
+        return render_ascii(t)
+    if fmt == "svg":
+        return render_svg(t)
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def render_ascii(t: Tiling, show_cell_numbers: bool = False) -> str:
@@ -50,6 +39,8 @@ def render_svg(
     t: Tiling, cell_width_px: int = 40, show_cell_numbers: bool = False
 ) -> str:
     """A minimal SVG 1.1 document; integer coordinates only."""
+    if cell_width_px < 1:
+        raise ValueError("cell_width_px must be positive")
     n = t.board.n
     enc = t.encoding
     half = max(cell_width_px // 2, 1)

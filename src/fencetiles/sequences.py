@@ -223,10 +223,17 @@ def decimal(value: int) -> str:
     return digits(value, len(powers) - 1)
 
 
+def _values(name: str, n_max: int) -> list[int]:
+    if name not in TABLES:
+        choices = ", ".join(TABLES)
+        raise ValueError(f"unknown sequence {name!r}, expected one of {choices}")
+    return TABLES[name].values(n_max)
+
+
 def sequence_csv(name: str, n_max: int) -> str:
     """CSV export, columns n,value; values are decimal text."""
     lines = ["n,value"]
-    lines.extend(f"{i},{decimal(v)}" for i, v in enumerate(TABLES[name].values(n_max)))
+    lines.extend(f"{i},{decimal(v)}" for i, v in enumerate(_values(name, n_max)))
     return "\n".join(lines) + "\n"
 
 
@@ -234,6 +241,6 @@ def sequence_jsonl(name: str, n_max: int) -> str:
     """JSON-lines export; values as decimal text to avoid precision loss."""
     lines = [
         json.dumps({"name": name, "n": i, "value": decimal(v)})
-        for i, v in enumerate(TABLES[name].values(n_max))
+        for i, v in enumerate(_values(name, n_max))
     ]
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from fencetiles.core import (
     has_free_bifence,
 )
 from fencetiles.identities import verify
-from fencetiles.render import RenderSpec, render
+from fencetiles.render import FORMATS, render
 from fencetiles.sequences import (
     a_via_sum_form,
     count_A,
@@ -130,6 +130,6 @@ def test_criterion_7_determinism():
         from fencetiles.core import validate
 
         t = validate(enc_source)
-        for spec in (RenderSpec(format="ascii"), RenderSpec(format="svg")):
-            ok = ok and render(t, spec) == render(t, spec)
+        for fmt in FORMATS:
+            ok = ok and render(t, fmt) == render(t, fmt)
     report("criterion 7: enumeration and rendering are byte-deterministic", ok)

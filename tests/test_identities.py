@@ -247,9 +247,8 @@ class TestLastFeatureKeys:
         for n in range(13):
             for t in enumerate_tilings(n):
                 # None when there is no fence (all h) or no h (all bifences)
-                last = last_positions(t)
-                assert end_cell(bin_of(2, t)) == last.last_fence_cell
-                p = last.last_h_halfcell
+                fence_cell, p = last_positions(t)
+                assert end_cell(bin_of(2, t)) == fence_cell
                 assert end_cell(bin_of(3, t)) == (None if p is None else p // 2 + 1)
 
     @pytest.mark.parametrize(
@@ -388,6 +387,12 @@ class TestReportShape:
         # big integers survive as decimal text
         big = json.loads(verify(1, 120).to_json())
         assert big["rows"][-1]["lhs"] == str(fib(120) ** 2)
+
+    @pytest.mark.parametrize("ident", [0, 8])
+    def test_unknown_identity_names_the_choices(self, ident):
+        with pytest.raises(ValueError, match=rf"unknown identity {ident}, expected "
+                           r"one of 1, 2, 3, 4, 5, 6, 7"):
+            verify(ident, 10)
 
     def test_table_mentions_every_row(self):
         text = verify(1, 4).table()

@@ -1,7 +1,7 @@
 import pytest
 
 from fencetiles.core import validate
-from fencetiles.render import RenderSpec, render, render_ascii, render_svg
+from fencetiles.render import FORMATS, render, render_ascii, render_svg
 
 
 class TestAscii:
@@ -35,25 +35,35 @@ class TestSvg:
 
     def test_deterministic(self):
         t = validate("LhRLLRRh")
-        spec = RenderSpec(format="svg", cell_width_px=24, show_cell_numbers=True)
-        assert render(t, spec) == render(t, spec)
+        assert render_svg(t, 24, True) == render_svg(t, 24, True)
 
     def test_scales_with_cell_width(self):
         narrow = render_svg(validate("hh"), cell_width_px=20)
         wide = render_svg(validate("hh"), cell_width_px=80)
         assert narrow != wide
 
+    def test_width_one_draws_one_px_half_cells(self):
+        out = render_svg(validate("hh"), cell_width_px=1)
+        assert 'width="22" height="22"' in out
+        assert '<rect x="11" y="10" width="1" height="2"' in out
+
 
 class TestRenderSpec:
+    """A picture is specified by its format name, with the drawing
+    arguments of render_ascii and render_svg at their defaults."""
+
     def test_dispatch(self):
         t = validate("hh")
-        assert render(t, RenderSpec(format="ascii")) == render_ascii(t)
-        assert render(t, RenderSpec(format="svg")) == render_svg(t)
+        assert FORMATS == ("ascii", "svg")
+        assert render(t) == render(t, "ascii") == render_ascii(t)
+        assert render(t, "svg") == render_svg(t)
 
     def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            RenderSpec(format="png")
+        with pytest.raises(ValueError, match="unknown format 'png'"):
+            render(validate("hh"), "png")
 
     def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            RenderSpec(cell_width_px=0)
+        # the width is an argument of render_svg alone
+        for width in (0, -6):
+            with pytest.raises(ValueError, match="cell_width_px must be positive"):
+                render_svg(validate("hh"), cell_width_px=width)

@@ -338,7 +338,7 @@ class TestFilteredEnumerationOracle:
     def test_no_bifence_means_only_four_metatiles(self, n):
         allowed = {"hh", "LhRh", "hLhR", "LhRLhR"}
         for t in enumerate_tilings(n, RESTRICTIONS["no-bifence"].allowed):
-            assert {o.encoding for o in decompose(t)} <= allowed
+            assert {piece for _, piece in decompose(t)} <= allowed
 
     @pytest.mark.parametrize("name", sorted(RESTRICTIONS))
     def test_pruned_walk_is_the_filtered_walk(self, name):
@@ -398,6 +398,12 @@ class TestHalfSquareSquare:
 class TestExports:
     def test_csv(self):
         assert sequence_csv("A", 3) == "n,value\n0,1\n1,1\n2,4\n3,9\n"
+
+    @pytest.mark.parametrize("export", [sequence_csv, sequence_jsonl])
+    def test_unknown_name_names_the_choices(self, export):
+        with pytest.raises(ValueError, match="unknown sequence 'X', expected "
+                           "one of fib, A, S, C, T"):
+            export("X", 3)
 
     def test_exports_print_values_beyond_the_digit_limit(self):
         import json
