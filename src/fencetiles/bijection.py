@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .core import InvalidTilingError, Tiling, enumerate_tilings, validate
+from .core import InvalidTilingError, Tiling, _walk, enumerate_tilings, validate
 
 
 class BijectionDomainError(ValueError):
@@ -173,9 +173,9 @@ def cassini_audit(n: int) -> CassiniAudit:
     if n < 3:
         raise ValueError("audit needs n >= 3")
     targets = h_targets = 0
-    for u in enumerate_tilings(n - 1):
+    for pieces in _walk(n - 1):
         targets += 1
-        h_targets += "h" in u.encoding
+        h_targets += "h" in "".join(pieces)
 
     placed = dict.fromkeys(TargetCopy, 0)
     sources = source_exceptions = 0

@@ -193,11 +193,16 @@ def _candidates(cells: int, allowed: Optional[Callable[[str], bool]]) -> Iterato
                 yield piece
 
 
-def enumerate_tilings(
+#: Boards of at most this many cells are tiled from the walk's memo.
+_MEMO_CELLS = 6
+
+
+def _walk(
     n: int, allowed: Optional[Callable[[str], bool]] = None
-) -> Iterator[Tiling]:
-    """Yield once, in lexicographic encoding order, every tiling of an
-    n-board whose metatiles allowed admits (every tiling when it is None).
+) -> Iterator[tuple[str, ...]]:
+    """Yield once, in lexicographic encoding order, the pieces of every
+    tiling of an n-board whose metatiles allowed admits (every tiling when
+    it is None).
 
     An iterative walk over metatile sequences: a stack holds one candidate
     iterator per metatile placed, and a forbidden metatile is never a
@@ -205,15 +210,30 @@ def enumerate_tilings(
     prefix-free code, so taking candidates in encoding order yields the
     tilings in encoding order.  When a frame runs through its candidates,
     the walk stores them under the frame's cell count, and later frames
-    with that count iterate the stored tuple.  The store belongs to this
-    walk and holds only counts a frame has already run through, so the
-    first tiling costs O(n) time and memory without allowed; with it, each
-    of O(n) frames may reject O(n) candidates of O(n) symbols before its
+    with that count iterate the stored tuple.  Every completion of a frame
+    with m <= _MEMO_CELLS cells left is one of the tilings of an m-board,
+    so the walk builds those once, tail-first, into its memo tails[m] and
+    joins them on in place of further frames.  Store and memo belong to
+    this walk; the store holds only counts a frame has already run through
+    and the memo at most A_6 = 169 tilings, so the first tiling costs O(n)
+    time and memory plus that constant without allowed; with it, each of
+    O(n) frames may reject O(n) candidates of O(n) symbols before its
     first, O(n^3) symbol work at worst.
     """
     Board(n)
-    if n == 0:
-        yield Tiling(())
+    tails: list[tuple[tuple[str, ...], ...]] = [((),)]
+
+    def tail(m: int) -> tuple[tuple[str, ...], ...]:
+        for k in range(len(tails), m + 1):
+            tails.append(tuple(
+                (piece, *t)
+                for piece in _candidates(k, allowed)
+                for t in tails[k - len(piece) // 2]
+            ))
+        return tails[m]
+
+    if n <= _MEMO_CELLS:
+        yield from tail(n)
         return
     store: dict[int, tuple[str, ...]] = {}
     pieces: list[str] = []
@@ -228,14 +248,23 @@ def enumerate_tilings(
             if pieces:
                 left += len(pieces.pop()) // 2
             continue
-        size = len(piece) // 2
-        if size < left:
+        rest = left - len(piece) // 2
+        if rest > _MEMO_CELLS:
             pieces.append(piece)
-            left -= size
+            left = rest
             done = store.get(left)
             frames.append(_candidates(left, allowed) if done is None else iter(done))
             continue
-        yield Tiling((*pieces, piece))
+        yield from map((*pieces, piece).__add__, tail(rest))
+
+
+def enumerate_tilings(
+    n: int, allowed: Optional[Callable[[str], bool]] = None
+) -> Iterator[Tiling]:
+    """Yield once, in lexicographic encoding order, every tiling of an
+    n-board whose metatiles allowed admits (every tiling when it is None):
+    the tilings of _walk, lazily, with its first-tiling cost."""
+    return map(Tiling, _walk(n, allowed))
 
 
 def count_tilings(

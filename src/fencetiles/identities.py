@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
-from .core import Tiling, enumerate_tilings, metatile_encodings
+from .core import _walk, metatile_encodings
 from .sequences import A, C, FIB, RESTRICTIONS, S, T, Restriction, decimal, sum_form
 
 #: Longest board the combinatorial (exhaustive enumeration) mode will scan.
@@ -28,6 +28,10 @@ MAX_ORACLE_BOARD = 14
 
 #: Default cap on n for combinatorial verification.
 DEFAULT_ORACLE_N = 12
+
+#: Largest n_max numeric mode checks: its rows hold every F_i^2 up to
+#: about i = 2 n_max, so memory and table text grow as n_max^2.
+MAX_NUMERIC_N = 6000
 
 
 class Mode(Enum):
@@ -250,24 +254,25 @@ def _predicted(restriction: Restriction, board: int, a: list[int]) -> tuple[dict
 
 
 def _scan(
-    tilings: Iterable[Tiling], allowed: Callable[[str], bool]
+    tilings: Iterable[tuple[str, ...]], allowed: Callable[[str], bool]
 ) -> tuple[dict, int, bool]:
-    """Bin tilings by the (end cell, encoding) of their last metatile
-    allowed forbids, leaving unbinned those it admits throughout.  Returns
-    the bin counts, the number of tilings scanned, and whether their
-    encodings came in strictly increasing order: over one enumeration,
-    that proves in O(1) memory that no tiling is counted twice.
+    """Bin tilings, given as their pieces, by the (end cell, encoding) of
+    their last metatile allowed forbids, leaving unbinned those it admits
+    throughout.  Returns the bin counts, the number of tilings scanned, and
+    whether their joined encodings came in strictly increasing order: over
+    one enumeration, that proves in O(1) memory that no tiling is counted
+    twice.
     """
     observed: dict = {}
     prev, scanned, ordered = None, 0, True
-    for t in tilings:
-        encoding = t.encoding
+    for pieces in tilings:
+        encoding = "".join(pieces)
         if prev is not None and encoding <= prev:
             ordered = False
         prev = encoding
         scanned += 1
         end = len(encoding)  # in half-cells
-        for piece in reversed(t.pieces):
+        for piece in reversed(pieces):
             if not allowed(piece):
                 key = (end // 2, piece)
                 observed[key] = observed.get(key, 0) + 1
@@ -284,9 +289,7 @@ def _combinatorial_row(ident: _Identity, n: int) -> IdentityRow:
     board = ident.board(n)
     a = A.values(board)
     expected, relevant = _predicted(ident.restriction, board, a)
-    observed, scanned, ordered = _scan(
-        enumerate_tilings(board), ident.restriction.allowed
-    )
+    observed, scanned, ordered = _scan(_walk(board), ident.restriction.allowed)
     binned = sum(observed.values())
     bins_ok = (
         ordered and scanned == a[board] and observed == expected and binned == relevant
@@ -301,7 +304,7 @@ def verify(
 
     Combinatorial mode applies to the identities in COMBINATORIAL, up to
     n = DEFAULT_ORACLE_N and boards of MAX_ORACLE_BOARD cells; any other
-    call checks numerically.
+    call checks numerically, up to n_max = MAX_NUMERIC_N.
     """
     ident = _IDENTITIES.get(identity_id)
     if ident is None:
@@ -316,6 +319,10 @@ def verify(
             for n in range(ident.n_min, min(n_max, DEFAULT_ORACLE_N) + 1)
             if ident.board(n) <= MAX_ORACLE_BOARD
         ]
+    elif n_max > MAX_NUMERIC_N:
+        raise ValueError(
+            f"numeric mode: n_max must be at most {MAX_NUMERIC_N}, got {n_max}"
+        )
     else:
         mode, rows = Mode.NUMERIC, ident.numeric(n_max)
     return IdentityReport(identity_id, rows[0].n, rows[-1].n, mode, tuple(rows))

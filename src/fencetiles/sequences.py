@@ -139,11 +139,20 @@ def sum_form(allowed: Callable[[str], bool]) -> SequenceTable:
     one in RESTRICTIONS and the one-metatile ones of identities 2 and 3
     do, has c_l = c_{l-2} for l >= 6, so
     X_m = X_{m-2} + sum_{l<=5} (c_l - c_{l-2}) X_{m-l}: an order-5
-    recurrence whose first five terms come from the direct sum.
+    recurrence whose first five terms come from the direct sum.  A
+    predicate with c_l != c_{l-2} for some 6 <= l <= 12 is rejected with a
+    ValueError; past 12 cells it is trusted.
     """
     c = [0] + [
-        sum(1 for e in metatile_encodings(l) if allowed(e)) for l in range(1, 6)
+        sum(1 for e in metatile_encodings(l) if allowed(e)) for l in range(1, 13)
     ]
+    for l in range(6, 13):
+        if c[l] != c[l - 2]:
+            raise ValueError(
+                f"sum_form: the predicate admits {c[l]} metatiles of {l} cells "
+                f"but {c[l - 2]} of {l - 2}; the order-5 recurrence needs "
+                f"c_l = c_(l-2) from l = 6 on, and fails at l = {l}"
+            )
     x: list[int] = []
     for m in range(5):
         x.append((m == 0) + sum(c[l] * x[m - l] for l in range(1, m + 1)))

@@ -182,6 +182,13 @@ class TestVerify:
         assert status == 0
         assert "combinatorial" in out
 
+    def test_numeric_max_n_beyond_the_bound_is_usage_error(self, capsys):
+        status, out, err = run(
+            capsys, "verify", "--identity", "2", "--max-n", "100000000"
+        )
+        assert (status, out) == (2, "")
+        assert "n_max must be at most 6000" in err and "Traceback" not in err
+
     @staticmethod
     def fib_pair(n: int) -> tuple[int, int]:
         """(F_n, F_{n+1}) by fast doubling."""

@@ -315,6 +315,38 @@ class TestEnumerate:
         assert encs == ["LhRh", "hLhR", "hhhh"]
 
 
+class TestWalk:
+    """The piece-tuple walk under enumerate_tilings, on boards on both sides
+    of its memo of short boards (core._MEMO_CELLS cells)."""
+
+    def test_boards_cross_the_memo_boundary(self):
+        assert 0 < core._MEMO_CELLS < 10
+
+    @pytest.mark.parametrize("name", RESTRICTIONS)
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_equals_the_tilings_and_the_half_cell_oracle(self, n, name):
+        allowed = RESTRICTIONS[name].allowed
+        walk = list(core._walk(n, allowed))
+        assert walk == [t.pieces for t in enumerate_tilings(n, allowed)]
+        oracle = [tuple(cut_scan(e)) for e in half_cell_tilings(n)]
+        assert walk == [p for p in oracle if all(map(allowed, p))]
+
+    @pytest.mark.parametrize("name", RESTRICTIONS)
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_every_tuple_is_the_validated_split(self, n, name):
+        for pieces in core._walk(n, RESTRICTIONS[name].allowed):
+            assert validate("".join(pieces)).pieces == pieces
+
+    @pytest.mark.parametrize("name", RESTRICTIONS)
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_tuple_order_is_encoding_order(self, n, name):
+        # metatiles are a prefix-free code, so comparing piece tuples
+        # compares encodings: both orders are the walk's, with no ties
+        walk = list(core._walk(n, RESTRICTIONS[name].allowed))
+        assert sorted(walk) == sorted(walk, key="".join) == walk
+        assert len(set(walk)) == len(walk)
+
+
 class TestDecompose:
     def test_all_h_cuts_everywhere(self):
         assert decompose(validate("hhhh")) == [(0, "hh"), (1, "hh")]

@@ -6,7 +6,6 @@ import pytest
 
 from fencetiles import identities
 from fencetiles.core import (
-    Tiling,
     count_tilings,
     enumerate_tilings,
     last_positions,
@@ -212,10 +211,11 @@ class TestCombinatorialModes:
         assert report.n_max == 6  # a 13-cell board is the longest scanned
 
 
-def bin_of(ident: int, t: Tiling):
-    """The bin combinatorial mode of the identity puts t in, or None."""
+def bin_of(ident: int, pieces: tuple[str, ...]):
+    """The bin combinatorial mode of the identity puts the tiling with these
+    pieces in, or None."""
     allowed = identities._IDENTITIES[ident].restriction.allowed
-    observed, scanned, _ = identities._scan([t], allowed)
+    observed, scanned, _ = identities._scan([pieces], allowed)
     assert scanned == 1
     return next(iter(observed), None)
 
@@ -248,8 +248,10 @@ class TestLastFeatureKeys:
             for t in enumerate_tilings(n):
                 # None when there is no fence (all h) or no h (all bifences)
                 fence_cell, p = last_positions(t)
-                assert end_cell(bin_of(2, t)) == fence_cell
-                assert end_cell(bin_of(3, t)) == (None if p is None else p // 2 + 1)
+                assert end_cell(bin_of(2, t.pieces)) == fence_cell
+                assert end_cell(bin_of(3, t.pieces)) == (
+                    None if p is None else p // 2 + 1
+                )
 
     @pytest.mark.parametrize(
         "ident, reference, cell",
@@ -273,24 +275,25 @@ class TestLastFeatureKeys:
 
 class TestCountedOnce:
     """A tiling yielded twice, or out of order, must fail its row even when
-    every bin count still comes out right."""
+    every bin count still comes out right.  The faults are injected into
+    the walk combinatorial mode reads, which yields piece tuples."""
 
     @staticmethod
     def patched(monkeypatch, rewrite):
-        real = identities.enumerate_tilings
+        real = identities._walk
 
-        def enumerate_tilings(n, allowed=None):
+        def _walk(n, allowed=None):
             return iter(rewrite(list(real(n, allowed))))
 
-        monkeypatch.setattr(identities, "enumerate_tilings", enumerate_tilings)
+        monkeypatch.setattr(identities, "_walk", _walk)
 
     @staticmethod
     def duplicate_within_a_bin(tilings):
         # two tilings of the 6-board whose last metatile other than hh is
         # the same hLhR on cell 6: count the first twice instead
-        if tilings[0].board.n != 6:
+        encodings = ["".join(pieces) for pieces in tilings]
+        if len(encodings[0]) != 12:
             return tilings
-        encodings = [t.encoding for t in tilings]
         i, j = encodings.index("hhhhhLhRhLhR"), encodings.index("hhhhhhhhhLhR")
         assert bin_of(2, tilings[i]) == bin_of(2, tilings[j]) == (6, "hLhR")
         return tilings[:j] + [tilings[i]] + tilings[j + 1 :]
@@ -370,10 +373,33 @@ class TestLastMetatileCoefficients:
             l
             for l in range(1, board + 1)
             for e in metatile_encodings(l)
-            if identities._scan([Tiling((e,))], restriction.allowed)[0] == {(l, e): 1}
+            if identities._scan([(e,)], restriction.allowed)[0] == {(l, e): 1}
         )
         for l in range(1, board + 1):
             assert ending_last[l] == keyed[l] == self.PAPER[ident](l), l
+
+
+class TestNumericBound:
+    """Numeric rows grow as n_max^2 in memory and text, so numeric mode
+    stops at MAX_NUMERIC_N; combinatorial mode caps its own n."""
+
+    @pytest.mark.parametrize("ident", range(1, 8))
+    def test_beyond_the_bound_is_rejected(self, ident):
+        with pytest.raises(ValueError, match=r"n_max must be at most 6000, got 6001"):
+            verify(ident, identities.MAX_NUMERIC_N + 1)
+
+    def test_the_bound_itself_is_checked(self):
+        report = verify(1, identities.MAX_NUMERIC_N)
+        assert report.n_max == identities.MAX_NUMERIC_N == 6000
+        assert report.all_pass
+
+    def test_combinatorial_mode_is_not_bounded(self):
+        report = verify(4, 10**8, combinatorial=True)
+        assert report.mode is Mode.COMBINATORIAL
+        assert report.n_max == identities.DEFAULT_ORACLE_N
+        assert report.all_pass
+        with pytest.raises(ValueError, match="n_max must be at most"):
+            verify(7, 10**8, combinatorial=True)
 
 
 class TestReportShape:

@@ -318,6 +318,32 @@ class TestSumFormTwins:
         c = [sum(1 for e in metatile_encodings(l) if allowed(e)) for l in range(1, 61)]
         assert all(c[l - 1] == c[l - 3] for l in range(6, 61))
 
+    @pytest.mark.parametrize(
+        "allowed, l",
+        [
+            # metatiles of at most 4 cells: c_6 = 0 but c_4 = 2; the order-5
+            # table gave 165, 421, 1100 at n = 6..8 for 163, 417, 1080
+            (lambda e: len(e) <= 8, 6),
+            # no metatile of 3, 6, 9, ... cells: c_6 = 0 but c_4 = 2
+            (lambda e: len(e) % 6 != 0, 6),
+            # only the metatiles of 7 cells: c_7 = 2 but c_5 = 0
+            (lambda e: len(e) == 14, 7),
+        ],
+        ids=["at-most-4-cells", "no-multiple-of-3-cells", "only-7-cells"],
+    )
+    def test_a_predicate_outside_the_premise_is_rejected(self, allowed, l):
+        with pytest.raises(ValueError, match=rf"fails at l = {l}$"):
+            sum_form(allowed)
+
+    def test_the_counts_the_unchecked_table_missed(self):
+        # the exhaustive counts for metatiles of at most 4 cells, where the
+        # unchecked order-5 table read 165, 421, 1100
+        counts = [
+            count_tilings(n, lambda t: all(len(e) <= 8 for e in t.pieces))
+            for n in (6, 7, 8)
+        ]
+        assert counts == [163, 417, 1080]
+
 
 class TestFilteredEnumerationOracle:
     """The recurrences must reproduce the exhaustive filtered counts."""
