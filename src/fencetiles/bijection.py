@@ -5,8 +5,12 @@ copies of the (n-1)-board tilings, exactly up to two all-bifence tilings
 whose side depends on the parity of n.
 
 All rewrites are splices of the encoding (tiles to the right of the site
-translate by two half-cells) and the result is re-validated, so an invalid
-rewrite can never slip through as a malformed encoding.
+translate by two half-cells).  One placement rule, _place, sends an n-board
+encoding to its copy and image encoding.  The public maps re-validate every
+image they return, so an invalid rewrite can never slip through as a
+malformed encoding; the audit stays on encodings and checks each image
+against the whole-tiling grammar pattern instead, so an invalid image fails
+it rather than raising.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .core import InvalidTilingError, Tiling, _walk, enumerate_tilings, validate
+from .core import _TILING, Board, InvalidTilingError, Tiling, _walk, validate
 
 
 class BijectionDomainError(ValueError):
@@ -48,7 +52,7 @@ def _contract_at_h(enc: str, p: int) -> str:
     Captured h: the filled fence around it collapses to a single h.
     Free h: the bifence immediately to its right merges with it into a
     filled fence.  Either way everything further right closes up by two
-    half-cells.  Shared by b_map, the third-copy map and the audit.
+    half-cells.  Shared by b_map, _place and _preimage.
     """
     if p >= 1 and enc[p - 1] == "L":
         return enc[: p - 1] + "h" + enc[p + 2 :]
@@ -92,46 +96,81 @@ def b_inverse(u: Tiling) -> Tiling:
     return validate(_expand_at_h(enc, enc.rfind("h")))
 
 
-def cassini_partition(t: Tiling) -> CassiniImage:
-    """Place an n-board tiling into one of three (n-1)-board copies.
+def _place(enc: str) -> Optional[tuple[TargetCopy, str]]:
+    """The copy and image encoding of the n-board tiling enc, or None for
+    the all-bifence tiling, which fits nowhere.
 
     Ends in two h's on the last cell: strip them (first copy).  Ends in a
-    fence: b_map (second copy).  Ends in a lone free h: contract at the
-    second-rightmost h, keeping the final h (third copy).  The all-bifence
-    tiling of an even board fits nowhere and is reported as the exception.
+    fence: contract at the rightmost h, as b_map does (second copy).  Ends
+    in a lone free h: contract at the second-rightmost h, keeping the final
+    h (third copy).  The image is not checked.
     """
-    enc = t.encoding
-    if len(enc) < 4:
-        raise ValueError("partition needs a board of length at least 2")
     if "h" not in enc:
-        return CassiniImage(None, None, AllBifenceException.SOURCE)
+        return None
     if enc.endswith("hh"):
-        return CassiniImage(TargetCopy.FIRST, validate(enc[:-2]))
+        return TargetCopy.FIRST, enc[:-2]
     if enc[-1] == "R":
-        return CassiniImage(TargetCopy.SECOND, b_map(t))
+        return TargetCopy.SECOND, _contract_at_h(enc, enc.rfind("h"))
     # ends in a free h that is not part of an h^2 metatile
     p = enc.rfind("h", 0, len(enc) - 1)
     if p < 0:
         # impossible: fences cover an even number of half-cells, so a lone
         # trailing h forces a second h somewhere to its left
         raise InvalidTilingError(f"no second h in {enc!r}")
-    return CassiniImage(TargetCopy.THIRD, validate(_contract_at_h(enc, p)))
+    return TargetCopy.THIRD, _contract_at_h(enc, p)
+
+
+def _image(placed: Optional[tuple[TargetCopy, str]]) -> CassiniImage:
+    """A placement as the public image, re-validated."""
+    if placed is None:
+        return CassiniImage(None, None, AllBifenceException.SOURCE)
+    copy, image = placed
+    return CassiniImage(copy, validate(image))
+
+
+def cassini_partition(t: Tiling) -> CassiniImage:
+    """Place an n-board tiling into one of three (n-1)-board copies by
+    _place, re-validating the image.  The all-bifence tiling of an even
+    board fits nowhere and is reported as the exception.
+    """
+    enc = t.encoding
+    if len(enc) < 4:
+        raise ValueError("partition needs a board of length at least 2")
+    return _image(_place(enc))
+
+
+def _sources(
+    n: int,
+) -> Iterator[tuple[tuple[str, ...], str, Optional[tuple[TargetCopy, str]], bool]]:
+    """Every source of the near-bijection at n as its pieces and encoding,
+    with its placement and whether it is a companion: the n-board tilings,
+    placed by _place, then the (n-2)-board tilings, which go into the third
+    copy through b_inverse's rewrite, except the all-bifence one.  Images
+    are not checked.
+    """
+    if n < 2:
+        Board(n)  # a negative length is named as such
+        raise ValueError("partition needs a board of length at least 2")
+    for pieces in _walk(n):
+        enc = "".join(pieces)
+        yield pieces, enc, _place(enc), False
+    third = TargetCopy.THIRD
+    for pieces in _walk(n - 2):
+        enc = "".join(pieces)
+        p = enc.rfind("h")
+        yield pieces, enc, (third, _expand_at_h(enc, p)) if p >= 0 else None, True
 
 
 def cassini_sources(n: int) -> Iterator[tuple[Tiling, CassiniImage, bool]]:
     """Every source of the near-bijection at n with its image and whether it
-    is a companion.  The n-board tilings are placed by cassini_partition;
-    the companions, the (n-2)-board tilings, go into the third copy through
+    is a companion.  The n-board tilings are placed by _place; the
+    companions, the (n-2)-board tilings, go into the third copy through
     b_inverse (so their images end in a fence, the others there in an h),
-    except the all-bifence one, a source exception.
+    except the all-bifence one, a source exception.  Every image is
+    re-validated.
     """
-    for t in enumerate_tilings(n):
-        yield t, cassini_partition(t), False
-    for u in enumerate_tilings(n - 2):
-        if "h" in u.encoding:
-            yield u, CassiniImage(TargetCopy.THIRD, b_inverse(u)), True
-        else:
-            yield u, CassiniImage(None, None, AllBifenceException.SOURCE), True
+    for pieces, _, placed, companion in _sources(n):
+        yield Tiling(pieces), _image(placed), companion
 
 
 def _preimage(copy: TargetCopy, e: str) -> str:
@@ -162,13 +201,17 @@ class CassiniAudit:
 def cassini_audit(n: int) -> CassiniAudit:
     """Exhaustively audit the near-bijection at board length n >= 3.
 
-    One walk over cassini_sources and one count of the (n-1)-board tilings,
-    in O(n) memory.  The map is injective when _preimage gives back every
-    placed source.  It is then onto each copy when every image lies in the
-    copy's targets (all (n-1)-board tilings for the first copy, those
-    holding an h for the second and third) and the copy holds as many
-    images as it has targets.  Exactly two all-bifence tilings must be left
-    over, on the side the parity of n predicts.
+    One walk over the source encodings of _sources, placed by _place, and
+    one count of the (n-1)-board tilings, in O(n) memory.  Every image is
+    checked on its encoding: its length, an h where the copy needs one, and
+    the whole-tiling grammar pattern core._TILING, before _preimage reads
+    it, so an invalid image fails the audit rather than raising.  The map
+    is injective when _preimage gives back every placed source.  It is then
+    onto each copy when every image lies in the copy's targets (all
+    (n-1)-board tilings for the first copy, those holding an h for the
+    second and third) and the copy holds as many images as it has targets.
+    Exactly two all-bifence tilings must be left over, on the side the
+    parity of n predicts.
     """
     if n < 3:
         raise ValueError("audit needs n >= 3")
@@ -177,23 +220,27 @@ def cassini_audit(n: int) -> CassiniAudit:
         targets += 1
         h_targets += "h" in "".join(pieces)
 
-    placed = dict.fromkeys(TargetCopy, 0)
+    first, second = TargetCopy.FIRST, TargetCopy.SECOND
+    is_tiling = _TILING.fullmatch
+    size = 2 * n - 2
+    placed = [0, 0, 0]
     sources = source_exceptions = 0
     images_ok = True
-    for t, ci, _ in cassini_sources(n):
+    for _, enc, placement, _ in _sources(n):
         sources += 1
-        if ci.exception is not None:
+        if placement is None:
             source_exceptions += 1
             continue
-        copy, e = ci.target_copy, ci.image.encoding
-        placed[copy] += 1
+        copy, e = placement
+        placed[0 if copy is first else 1 if copy is second else 2] += 1
         images_ok = (
             images_ok
-            and len(e) == 2 * n - 2
-            and (copy is TargetCopy.FIRST or "h" in e)
-            and _preimage(copy, e) == t.encoding
+            and len(e) == size
+            and (copy is first or "h" in e)
+            and is_tiling(e) is not None
+            and _preimage(copy, e) == enc
         )
-    covered = list(placed.values()) == [targets, h_targets, h_targets]
+    covered = placed == [targets, h_targets, h_targets]
 
     target_exceptions = 2 * (targets - h_targets)
     if n % 2 == 0:

@@ -34,6 +34,10 @@ ALPHABET = frozenset("hLR")
 #: fence.  Every tiling is one unique sequence of these.
 _METATILE = re.compile("LLRR|(?:h|LhR)(?:LLRR)*(?:h|LhR)")
 
+#: The same grammar for a whole tiling, a sequence of metatiles: its
+#: fullmatch accepts exactly the encodings validate accepts.
+_TILING = re.compile(f"(?:{_METATILE.pattern})*")
+
 
 class InvalidTilingError(ValueError):
     """Raised when an encoding or a placement set is not a valid tiling."""

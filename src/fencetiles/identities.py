@@ -261,9 +261,11 @@ def _scan(
     throughout.  Returns the bin counts, the number of tilings scanned, and
     whether their joined encodings came in strictly increasing order: over
     one enumeration, that proves in O(1) memory that no tiling is counted
-    twice.
+    twice.  allowed is asked once per distinct piece; its answers are kept
+    for the rest of the scan.
     """
     observed: dict = {}
+    admitted: dict[str, bool] = {}
     prev, scanned, ordered = None, 0, True
     for pieces in tilings:
         encoding = "".join(pieces)
@@ -273,7 +275,11 @@ def _scan(
         scanned += 1
         end = len(encoding)  # in half-cells
         for piece in reversed(pieces):
-            if not allowed(piece):
+            try:
+                ok = admitted[piece]
+            except KeyError:
+                ok = admitted[piece] = allowed(piece)
+            if not ok:
                 key = (end // 2, piece)
                 observed[key] = observed.get(key, 0) + 1
                 break

@@ -16,6 +16,7 @@ from fencetiles.bijection import (
     cassini_partition,
     cassini_sources,
 )
+from fencetiles.cli import main
 from fencetiles.core import enumerate_tilings, validate
 
 
@@ -262,26 +263,26 @@ class TestAuditFaults:
 
     @staticmethod
     def audit_with(monkeypatch, n, rewrite):
-        real = bijection.cassini_partition
-        monkeypatch.setattr(
-            bijection, "cassini_partition", lambda t: rewrite(t, real(t))
-        )
+        real = bijection._place
+        monkeypatch.setattr(bijection, "_place", lambda enc: rewrite(enc, real(enc)))
         audit = cassini_audit(n)
         assert not audit.structure_ok
         assert not audit.balanced
 
     @staticmethod
     def placed_in(n, copy):
-        return [
-            t for t in enumerate_tilings(n) if cassini_partition(t).target_copy is copy
-        ]
+        encodings = (t.encoding for t in enumerate_tilings(n))
+        placements = ((enc, bijection._place(enc)) for enc in encodings)
+        return [enc for enc, placed in placements if placed and placed[0] is copy]
 
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("copy", list(TargetCopy))
     def test_two_sources_share_one_image(self, monkeypatch, n, copy):
         first, second = self.placed_in(n, copy)[:2]
-        shared = cassini_partition(first)
-        self.audit_with(monkeypatch, n, lambda t, ci: shared if t == second else ci)
+        shared = bijection._place(first)
+        self.audit_with(
+            monkeypatch, n, lambda enc, placed: shared if enc == second else placed
+        )
 
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("copy", list(TargetCopy))
@@ -291,28 +292,49 @@ class TestAuditFaults:
         self.audit_with(
             monkeypatch,
             n,
-            lambda t, ci: CassiniImage(other, ci.image) if t == moved else ci,
+            lambda enc, placed: (other, placed[1]) if enc == moved else placed,
         )
 
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("copy", list(TargetCopy))
     def test_one_source_becomes_an_exception(self, monkeypatch, n, copy):
         dropped = self.placed_in(n, copy)[0]
-        exception = CassiniImage(None, None, AllBifenceException.SOURCE)
         self.audit_with(
-            monkeypatch, n, lambda t, ci: exception if t == dropped else ci
+            monkeypatch, n, lambda enc, placed: None if enc == dropped else placed
         )
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_one_source_walked_twice(self, monkeypatch, n):
         # the left inverse gives the repeated source back both times; only
         # the per-copy counts see the extra image
-        real = bijection.cassini_sources
+        real = bijection._sources
         monkeypatch.setattr(
             bijection,
-            "cassini_sources",
+            "_sources",
             lambda n: itertools.chain(real(n), list(real(n))[-1:]),
         )
         audit = cassini_audit(n)
         assert not audit.structure_ok
         assert not audit.balanced
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_invalid_image_fails(self, monkeypatch, capsys, n):
+        # one third-copy source (it ends in a lone free h) contracts to its
+        # image reversed: a non-tiling ending in a post, which the companion
+        # branch of _preimage cannot read
+        victim = next(
+            t.encoding for t in enumerate_tilings(n) if t.encoding.endswith("Rh")
+        )
+        real = bijection._contract_at_h
+
+        def contract(enc, p):
+            image = real(enc, p)
+            return image[::-1] if enc == victim else image
+
+        monkeypatch.setattr(bijection, "_contract_at_h", contract)
+        audit = cassini_audit(n)
+        assert not audit.structure_ok
+        assert not audit.balanced
+        # a failed verification, not an input error: exit 1
+        assert main(["bijection", "--n", str(n), "--audit"]) == 1
+        assert capsys.readouterr().out.endswith("UNBALANCED\n")

@@ -143,7 +143,11 @@ class TestValidate:
         inputs = set(strings("hLRx", 7)) | set(strings("hLR", 10))
         assert len(inputs) == 107_138
         for e in inputs:
-            assert outcome(validate, e) == outcome(symbolwise_validate, e), e
+            parsed = outcome(validate, e)
+            assert parsed == outcome(symbolwise_validate, e), e
+            # the whole-tiling pattern accepts exactly what validate accepts
+            accepted = core._TILING.fullmatch(e) is not None
+            assert accepted == isinstance(parsed, Tiling), e
 
     def test_one_pass_accept_is_the_symbolwise_accept(self):
         # the metatile pattern covers exactly what the per-symbol loop

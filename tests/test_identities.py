@@ -379,6 +379,28 @@ class TestLastMetatileCoefficients:
             assert ending_last[l] == keyed[l] == self.PAPER[ident](l), l
 
 
+class TestScanMemo:
+    """_scan asks the restriction about each distinct piece once and keeps
+    the answer; the bins are those _predicted expects."""
+
+    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    def test_each_piece_is_decided_once(self, ident):
+        restriction = identities._IDENTITIES[ident].restriction
+        calls = Counter()
+
+        def allowed(piece):
+            calls[piece] += 1
+            return restriction.allowed(piece)
+
+        observed, scanned, ordered = identities._scan(identities._walk(10), allowed)
+        assert calls and max(calls.values()) == 1
+        pieces = {p for tiling in identities._walk(10) for p in tiling}
+        assert set(calls) <= pieces
+        a = A.values(10)
+        expected, _ = identities._predicted(restriction, 10, a)
+        assert (observed, scanned, ordered) == (expected, a[10], True)
+
+
 class TestNumericBound:
     """Numeric rows grow as n_max^2 in memory and text, so numeric mode
     stops at MAX_NUMERIC_N; combinatorial mode caps its own n."""
