@@ -20,13 +20,8 @@ from .bijection import (
     cassini_partition,
 )
 from .core import (
-    Board,
-    HalfSquareStatus,
     InvalidTilingError,
-    TileKind,
-    TilePlacement,
     Tiling,
-    classify_h,
     count_tilings,
     decompose,
     enumerate_tilings,
@@ -48,7 +43,6 @@ from .sequences import (
     count_T,
     count_halfsquare_square,
     fib,
-    metatile_census,
     sequence_csv,
     sequence_jsonl,
 )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .core import _TILING, Board, InvalidTilingError, Tiling, _walk, validate
+from .core import _TILING, InvalidTilingError, Tiling, _check_length, _walk, validate
 
 
 class BijectionDomainError(ValueError):
@@ -33,10 +33,10 @@ class TargetCopy(Enum):
 
 
 class AllBifenceException(Enum):
-    """Exceptional all-bifence tilings that the near-bijection cannot place."""
+    """The all-bifence source tiling the near-bijection cannot place; the
+    target-side exceptions are only counted, in CassiniAudit."""
 
     SOURCE = "all-bifence-source"
-    TARGET = "all-bifence-target"
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def _sources(
     are not checked.
     """
     if n < 2:
-        Board(n)  # a negative length is named as such
+        _check_length(n)  # a negative length is named as such
         raise ValueError("partition needs a board of length at least 2")
     for pieces in _walk(n):
         enc = "".join(pieces)

@@ -18,6 +18,10 @@ from .render import FORMATS, render
 
 
 def _cmd_count(args) -> int:
+    if args.n > sequences.MAX_COUNT_N:
+        raise ValueError(
+            f"count: n must be at most {sequences.MAX_COUNT_N}, got {args.n}"
+        )
     if args.seq == "hsq":
         value = sequences.count_halfsquare_square(args.n)
     else:

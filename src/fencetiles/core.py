@@ -1,4 +1,4 @@
-"""Boards, tiles, tilings and metatiles on the half-cell grid.
+"""Tilings of n-boards and their metatiles, on the half-cell grid.
 
 An n-board is a 1 x n row of unit square cells, modelled here as 2n
 half-cells indexed 0..2n-1.  Two tile types exist:
@@ -14,15 +14,15 @@ deterministic: an ``L`` at p always pairs with the ``R`` at p+2.
 
 A metatile is a minimal run of tiles covering a whole number of adjacent
 cells; every tiling splits uniquely into metatiles at the integer cell
-boundaries no fence spans.  A Tiling holds its encoding as those metatiles;
-validate builds one from an encoding, Tiling.from_placements from tiles.
+boundaries no fence spans.  A Tiling holds its encoding as those metatiles,
+the one representation of a tiling here; validate builds one from an
+encoding, Tiling.from_placements from (half-cell, symbol) tile pairs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterator, Optional
@@ -43,44 +43,9 @@ class InvalidTilingError(ValueError):
     """Raised when an encoding or a placement set is not a valid tiling."""
 
 
-class TileKind(Enum):
-    HALF_SQUARE = "h"
-    FENCE = "f"
-
-
-class HalfSquareStatus(Enum):
-    """A half-square is captured when it sits in the gap of a single fence."""
-
-    CAPTURED = "captured"
-    FREE = "free"
-
-
-@dataclass(frozen=True)
-class Board:
-    """A 1 x n row of unit cells."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"board length must be non-negative, got {self.n}")
-
-    @property
-    def half_cells(self) -> int:
-        return 2 * self.n
-
-
-@dataclass(frozen=True)
-class TilePlacement:
-    """One tile anchored at the half-cell index of its leftmost covered half-cell."""
-
-    pos: int
-    kind: TileKind
-
-    def covered(self) -> tuple[int, ...]:
-        if self.kind is TileKind.HALF_SQUARE:
-            return (self.pos,)
-        return (self.pos, self.pos + 2)
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"board length must be non-negative, got {n}")
 
 
 @dataclass(frozen=True, init=False)
@@ -88,9 +53,9 @@ class Tiling:
     """A tiling of an n-board, held as its encoding split into metatiles.
 
     ``pieces`` are the metatile encodings from left to right and
-    ``encoding`` is their concatenation; ``placements`` is derived from it.
-    The constructor trusts its pieces: build tilings from outside input
-    with validate or Tiling.from_placements.
+    ``encoding`` is their concatenation, of length 2n.  The constructor
+    trusts its pieces: build tilings from outside input with validate or
+    Tiling.from_placements.
     """
 
     pieces: tuple[str, ...]
@@ -108,41 +73,30 @@ class Tiling:
     def encoding(self) -> str:
         return "".join(self.pieces)
 
-    @property
-    def board(self) -> Board:
-        return Board(len(self.encoding) // 2)
-
-    @cached_property
-    def placements(self) -> tuple[TilePlacement, ...]:
-        """One placement per tile, sorted by position."""
-        return tuple(
-            TilePlacement(p, TileKind.HALF_SQUARE if c == "h" else TileKind.FENCE)
-            for p, c in enumerate(self.encoding)
-            if c != "R"
-        )
-
     @classmethod
     def from_placements(cls, n: int, placements) -> "Tiling":
-        """Build a tiling from placements, checking the exact-cover invariant."""
-        board = Board(n)
-        ordered = sorted(placements, key=lambda p: p.pos)
+        """Build a tiling of an n-board from (half-cell, symbol) pairs,
+        checking the exact-cover invariant: "h" covers that half-cell, "L"
+        a fence's two posts, that half-cell and the one two to its right."""
+        _check_length(n)
+        out = ["h"] * (2 * n)
         seen: set[int] = set()
-        for p in ordered:
-            for c in p.covered():
-                if not 0 <= c < board.half_cells:
+        for p, c in placements:
+            if c not in ("h", "L"):
+                raise InvalidTilingError(f"unknown tile symbol {c!r} at half-cell {p}")
+            for q in (p,) if c == "h" else (p, p + 2):
+                if q not in range(2 * n):
                     raise InvalidTilingError(
-                        f"half-cell {c} lies outside the {n}-board"
+                        f"half-cell {q} lies outside the {n}-board"
                     )
-                if c in seen:
-                    raise InvalidTilingError(f"half-cell {c} is covered twice")
-                seen.add(c)
-        if len(seen) != board.half_cells:
-            missing = min(set(range(board.half_cells)) - seen)
+                if q in seen:
+                    raise InvalidTilingError(f"half-cell {q} is covered twice")
+                seen.add(q)
+            if c == "L":
+                out[p], out[p + 2] = "L", "R"
+        if len(seen) != 2 * n:
+            missing = min(set(range(2 * n)) - seen)
             raise InvalidTilingError(f"half-cell {missing} is uncovered")
-        out = ["h"] * board.half_cells
-        for p in ordered:
-            if p.kind is TileKind.FENCE:
-                out[p.pos], out[p.pos + 2] = "L", "R"
         return cls(tuple(_METATILE.findall("".join(out))))
 
 
@@ -224,7 +178,7 @@ def _walk(
     O(n) frames may reject O(n) candidates of O(n) symbols before its
     first, O(n^3) symbol work at worst.
     """
-    Board(n)
+    _check_length(n)
     tails: list[tuple[tuple[str, ...], ...]] = [((),)]
 
     def tail(m: int) -> tuple[tuple[str, ...], ...]:
@@ -305,17 +259,6 @@ def decompose(t: Tiling) -> list[tuple[int, str]]:
     right, read off its pieces; start cells are 0-based."""
     starts = accumulate((len(piece) // 2 for piece in t.pieces), initial=0)
     return list(zip(starts, t.pieces))
-
-
-def classify_h(t: Tiling, p: int) -> HalfSquareStatus:
-    """Classify the half-square at half-cell p as captured or free."""
-    enc = t.encoding
-    if not 0 <= p < len(enc) or enc[p] != "h":
-        raise ValueError(f"no half-square at half-cell {p}")
-    if p >= 1 and enc[p - 1] == "L":
-        # that L's right post is at p+1, so p is the fence's gap
-        return HalfSquareStatus.CAPTURED
-    return HalfSquareStatus.FREE
 
 
 def last_positions(t: Tiling) -> tuple[Optional[int], Optional[int]]:

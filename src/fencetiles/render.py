@@ -1,9 +1,8 @@
 """Deterministic ascii and SVG pictures of tilings.
 
-Rendering is a pure function of the encoding and the drawing arguments:
-the same input always produces byte-identical output.  Posts are drawn
-filled, half-squares outlined, fence gaps left empty, and cell boundaries
-ruled.
+Rendering is a pure function of the encoding: the same input always
+produces byte-identical output.  Posts are drawn filled, half-squares
+outlined, fence gaps left empty, and cell boundaries ruled.
 """
 
 from __future__ import annotations
@@ -12,11 +11,14 @@ from .core import Tiling
 
 _ASCII_SYMBOLS = str.maketrans("LR", "[]")
 
+#: The SVG width of one cell, in pixels.
+_CELL_PX = 40
+
 FORMATS = ("ascii", "svg")
 
 
 def render(t: Tiling, fmt: str = "ascii") -> str:
-    """The picture of t in fmt, one of FORMATS, with default drawing arguments."""
+    """The picture of t in fmt, one of FORMATS."""
     if fmt == "ascii":
         return render_ascii(t)
     if fmt == "svg":
@@ -24,32 +26,22 @@ def render(t: Tiling, fmt: str = "ascii") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def render_ascii(t: Tiling, show_cell_numbers: bool = False) -> str:
+def render_ascii(t: Tiling) -> str:
     """One column per half-cell: h for half-squares, [ and ] for posts."""
-    n = t.board.n
-    row = t.encoding.translate(_ASCII_SYMBOLS)
-    ruler = "+-" * n + "+"
-    lines = [row, ruler]
-    if show_cell_numbers:
-        lines.append("".join(str(i + 1).ljust(2) for i in range(n)).rstrip())
-    return "\n".join(lines) + "\n"
+    ruler = "+-" * (len(t.encoding) // 2) + "+"
+    return t.encoding.translate(_ASCII_SYMBOLS) + "\n" + ruler + "\n"
 
 
-def render_svg(
-    t: Tiling, cell_width_px: int = 40, show_cell_numbers: bool = False
-) -> str:
+def render_svg(t: Tiling) -> str:
     """A minimal SVG 1.1 document; integer coordinates only."""
-    if cell_width_px < 1:
-        raise ValueError("cell_width_px must be positive")
-    n = t.board.n
     enc = t.encoding
-    half = max(cell_width_px // 2, 1)
-    cell = 2 * half
+    n = len(enc) // 2
+    cell = _CELL_PX
+    half = cell // 2
     margin = 10
     tile_h = cell
-    number_h = 16 if show_cell_numbers else 0
     width = cell * n + 2 * margin
-    height = tile_h + 2 * margin + number_h
+    height = tile_h + 2 * margin
     top = margin
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -71,7 +63,7 @@ def render_svg(
                 'fill="#555555" stroke="black" stroke-width="1"/>'
             )
     # a thin bar ties the two posts of each fence together across its gap
-    bar_h = max(tile_h // 8, 2)
+    bar_h = tile_h // 8
     for p, c in enumerate(enc):
         if c == "L":
             x = margin + half * p
@@ -86,13 +78,5 @@ def render_svg(
             f'<line x1="{x}" y1="{top}" x2="{x}" y2="{top + tile_h}" '
             'stroke="black" stroke-width="2"/>'
         )
-    if show_cell_numbers:
-        y = top + tile_h + number_h - 4
-        for k in range(n):
-            x = margin + cell * k + half
-            parts.append(
-                f'<text x="{x}" y="{y}" font-size="12" '
-                f'text-anchor="middle">{k + 1}</text>'
-            )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

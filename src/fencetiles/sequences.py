@@ -176,10 +176,9 @@ def t_via_sum_form(n: int) -> int:
     return sum_form(RESTRICTIONS["odd-metatiles"].allowed).value(n)
 
 
-def metatile_census(length_cells: int) -> int:
-    """Number of metatiles of a given length in cells: 1, 3, then 2 forever."""
-    return len(metatile_encodings(length_cells))
-
+#: Largest n the CLI count evaluates; A_n has about 0.42 n digits, and
+#: n = 10^6 takes a few seconds.
+MAX_COUNT_N = 1_000_000
 
 #: Longest board count_halfsquare_square enumerates; its work grows like
 #: fib(2n+1), about 3.5 million leaves at the cap.

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fencetiles import identities
+from fencetiles import identities, sequences
 from fencetiles.cli import main
 from fencetiles.core import validate
 from fencetiles.sequences import count_A
@@ -48,6 +48,21 @@ class TestCount:
         assert err.startswith("error: ") and "at most 16" in err
         status, out, _ = run(capsys, "count", "--seq", "hsq", "--n", "12")
         assert (status, out) == (0, "75025\n")
+
+    @pytest.mark.parametrize("seq", ["fib", "A", "S", "C", "T", "hsq"])
+    @pytest.mark.parametrize("n", [sequences.MAX_COUNT_N + 1, 10**11])
+    def test_n_beyond_the_cap_is_usage_error(self, capsys, seq, n):
+        # A_n has about 0.42 n digits: an unbounded n would run for ever
+        start = time.perf_counter()
+        status, out, err = run(capsys, "count", "--seq", seq, "--n", str(n))
+        assert time.perf_counter() - start < 1.0
+        assert (status, out) == (2, "")
+        assert err == f"error: count: n must be at most 1000000, got {n}\n"
+
+    def test_the_cap_itself_is_counted(self, capsys, monkeypatch):
+        monkeypatch.setattr(sequences, "MAX_COUNT_N", 10)
+        assert run(capsys, "count", "--seq", "A", "--n", "10")[:2] == (0, "7921\n")
+        assert run(capsys, "count", "--seq", "A", "--n", "11")[:2] == (2, "")
 
     @pytest.mark.parametrize("seq", ["fib", "A", "S", "C", "T", "hsq"])
     def test_negative_n_is_usage_error(self, capsys, seq):
@@ -114,7 +129,7 @@ class TestEnumerate:
         assert time.perf_counter() - start < 10
         assert status == 0
         (line,) = out.splitlines()
-        assert validate(line).board.n == 2000
+        assert len(validate(line).encoding) // 2 == 2000
 
     @pytest.mark.parametrize(
         "name, first",

@@ -8,14 +8,11 @@ import tracemalloc
 
 import pytest
 
-from fencetiles import core
+from fencetiles import bijection, core
 from fencetiles.core import (
     ALPHABET,
-    HalfSquareStatus,
     InvalidTilingError,
-    TileKind,
     Tiling,
-    classify_h,
     count_tilings,
     decompose,
     enumerate_tilings,
@@ -102,21 +99,23 @@ def cut_scan(encoding):
     return [encoding[a:b] for a, b in zip([0] + cuts, cuts)]
 
 
+def placements(t):
+    """The tiles of t as (half-cell, symbol) pairs, a fence at its left post."""
+    return [(p, c) for p, c in enumerate(t.encoding) if c != "R"]
+
+
 class TestValidate:
     def test_parses_mixed_tiling(self):
         t = validate("hLhR")
-        assert t.board.n == 2
-        kinds = [(p.pos, p.kind) for p in t.placements]
-        assert kinds == [
-            (0, TileKind.HALF_SQUARE),
-            (1, TileKind.FENCE),
-            (2, TileKind.HALF_SQUARE),
-        ]
+        assert len(t.encoding) // 2 == 2
+        assert placements(t) == [(0, "h"), (1, "L"), (2, "h")]
+        assert Tiling.from_placements(2, [(0, "h"), (1, "L"), (2, "h")]) == t
 
     def test_empty_board(self):
         t = validate("")
-        assert t.board.n == 0
-        assert t.placements == ()
+        assert len(t.encoding) // 2 == 0
+        assert t.pieces == ()
+        assert Tiling.from_placements(0, ()) == t
 
     def test_round_trips_encoding(self):
         for enc in ["hh", "LLRR", "LhRh", "hLhRhh", "LhRLLRRh"]:
@@ -185,19 +184,38 @@ class TestValidate:
             validate("LLRR")
 
     def test_from_placements_rejects_double_cover(self):
-        pl = validate("hhhh").placements
-        with pytest.raises(InvalidTilingError):
-            Tiling.from_placements(2, pl + (pl[0],))
+        pl = placements(validate("hhhh"))
+        with pytest.raises(InvalidTilingError, match="covered twice"):
+            Tiling.from_placements(2, pl + [pl[0]])
+        with pytest.raises(InvalidTilingError, match="half-cell 2 is covered twice"):
+            Tiling.from_placements(2, [(0, "L"), (1, "h"), (2, "h"), (3, "h")])
 
     def test_from_placements_rejects_gap(self):
-        pl = validate("hhhh").placements
-        with pytest.raises(InvalidTilingError):
+        pl = placements(validate("hhhh"))
+        with pytest.raises(InvalidTilingError, match="half-cell 3 is uncovered"):
             Tiling.from_placements(2, pl[:-1])
+
+    @pytest.mark.parametrize(
+        "p, symbol", [(4, "h"), (-1, "h"), (2, "L"), (2.5, "h"), ("3", "h")]
+    )
+    def test_from_placements_rejects_a_tile_outside_the_board(self, p, symbol):
+        # a half-cell is an integer in range(4): 2.5 or "3" is none of them
+        pl = [(0, "h"), (1, "h"), (3, "h"), (p, symbol)]
+        with pytest.raises(InvalidTilingError, match="outside the 2-board"):
+            Tiling.from_placements(2, pl)
+
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("symbol", ["R", "x"])
+    def test_from_placements_rejects_a_symbol_other_than_h_or_l(self, p, symbol):
+        # an R would otherwise cover one half-cell and be written as h
+        pl = [(q, "h") for q in range(4) if q != p] + [(p, symbol)]
+        with pytest.raises(InvalidTilingError, match=f"unknown tile symbol '{symbol}'"):
+            Tiling.from_placements(2, pl)
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_from_placements_rebuilds_the_same_tiling(self, n):
         for t in enumerate_tilings(n):
-            rebuilt = Tiling.from_placements(n, reversed(t.placements))
+            rebuilt = Tiling.from_placements(n, reversed(placements(t)))
             assert rebuilt == t
             assert rebuilt.pieces == t.pieces
 
@@ -207,7 +225,7 @@ class TestTilingValue:
         t = validate("hhLLRRhLhR")
         assert t.pieces == ("hh", "LLRR", "hLhR")
         assert t.encoding == str(t) == "hhLLRRhLhR"
-        assert t.board.n == 5
+        assert len(t.encoding) // 2 == 5
 
     def test_equal_and_hash_by_encoding(self):
         a, b = validate("LhRh"), Tiling(("LhRh",))
@@ -373,7 +391,7 @@ class TestDecompose:
             "LhRLLRRh",
         ]
         t = validate("".join(pieces))
-        assert t.board.n == 21
+        assert len(t.encoding) // 2 == 21
         segs = decompose(t)
         assert [piece for _, piece in segs] == pieces
         assert "".join(piece for _, piece in segs) == t.encoding
@@ -432,27 +450,10 @@ class TestMetatileGrammar:
     def test_grammar_members_are_valid_tilings(self):
         for l in range(1, 13):
             for e in metatile_encodings(l):
-                assert validate(e).board.n == l
+                assert len(validate(e).encoding) // 2 == l
 
 
 class TestClassifiers:
-    def test_captured_h_in_fence_gap(self):
-        assert classify_h(validate("hLhR"), 2) is HalfSquareStatus.CAPTURED
-
-    def test_free_h_without_fences(self):
-        assert classify_h(validate("hhhh"), 0) is HalfSquareStatus.FREE
-
-    def test_mixed_statuses(self):
-        t = validate("LhRh")
-        assert classify_h(t, 1) is HalfSquareStatus.CAPTURED
-        assert classify_h(t, 3) is HalfSquareStatus.FREE
-
-    def test_rejects_non_h_position(self):
-        with pytest.raises(ValueError):
-            classify_h(validate("hLhR"), 1)
-        with pytest.raises(ValueError):
-            classify_h(validate("hh"), 5)
-
     def test_free_bifence_segment(self):
         segs = decompose(validate("hhLLRR"))
         assert [not NO_FREE_BIFENCE(piece) for _, piece in segs] == [False, True]
@@ -509,6 +510,19 @@ class TestStructuralInvariants:
         assert has_even_metatile(validate("hLhR"))
         assert not has_even_metatile(validate("hLLRRh"))
 
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: list(enumerate_tilings(-1)),
+        lambda: list(bijection.cassini_sources(-1)),
+        lambda: Tiling.from_placements(-1, ()),
+    ],
+    ids=["enumerate_tilings", "cassini_sources", "from_placements"],
+)
+def test_a_negative_board_length_has_one_message(build):
+    with pytest.raises(ValueError, match="must be non-negative, got -1"):
+        build()
 
 
 class TestBenchmarkNameContract:

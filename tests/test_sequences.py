@@ -25,7 +25,6 @@ from fencetiles.sequences import (
     count_halfsquare_square,
     decimal,
     fib,
-    metatile_census,
     s_via_sum_form,
     sequence_csv,
     sequence_jsonl,
@@ -390,20 +389,20 @@ class TestFilteredEnumerationOracle:
 
 class TestMetatileCensus:
     def test_census_values(self):
-        assert metatile_census(1) == 1
-        assert metatile_census(2) == 3
-        assert metatile_census(7) == 2
+        assert len(metatile_encodings(1)) == 1
+        assert len(metatile_encodings(2)) == 3
+        assert len(metatile_encodings(7)) == 2
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
-            metatile_census(0)
+            len(metatile_encodings(0))
 
     @pytest.mark.parametrize("l", range(1, 13))
     def test_census_matches_brute_force(self, l):
         boundary_free = sum(
             1 for t in enumerate_tilings(l) if len(decompose(t)) == 1
         )
-        assert boundary_free == metatile_census(l)
+        assert boundary_free == len(metatile_encodings(l))
 
 
 class TestHalfSquareSquare:
