@@ -84,6 +84,10 @@ class Tiling:
         for p, c in placements:
             if c not in ("h", "L"):
                 raise InvalidTilingError(f"unknown tile symbol {c!r} at half-cell {p}")
+            if not isinstance(p, int):  # 1.0 == 1 would pass the range check
+                raise InvalidTilingError(
+                    f"half-cell {p!r} is not an integer: it lies outside the {n}-board"
+                )
             for q in (p,) if c == "h" else (p, p + 2):
                 if q not in range(2 * n):
                     raise InvalidTilingError(
@@ -155,12 +159,14 @@ def _candidates(cells: int, allowed: Optional[Callable[[str], bool]]) -> Iterato
 _MEMO_CELLS = 6
 
 
-def _walk(
+def _blocks(
     n: int, allowed: Optional[Callable[[str], bool]] = None
-) -> Iterator[tuple[str, ...]]:
-    """Yield once, in lexicographic encoding order, the pieces of every
-    tiling of an n-board whose metatiles allowed admits (every tiling when
-    it is None).
+) -> Iterator[tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]]:
+    """Yield, in lexicographic encoding order, the tilings of an n-board
+    whose metatiles allowed admits (every tiling when it is None) by block:
+    (prefix, tails), the pieces placed so far and the walk's own memo tuple
+    tails[m] of the tilings of the m <= _MEMO_CELLS cells left.  The
+    block's tilings are prefix + t for t in tails, in that order.
 
     An iterative walk over metatile sequences: a stack holds one candidate
     iterator per metatile placed, and a forbidden metatile is never a
@@ -171,12 +177,13 @@ def _walk(
     with that count iterate the stored tuple.  Every completion of a frame
     with m <= _MEMO_CELLS cells left is one of the tilings of an m-board,
     so the walk builds those once, tail-first, into its memo tails[m] and
-    joins them on in place of further frames.  Store and memo belong to
-    this walk; the store holds only counts a frame has already run through
-    and the memo at most A_6 = 169 tilings, so the first tiling costs O(n)
-    time and memory plus that constant without allowed; with it, each of
-    O(n) frames may reject O(n) candidates of O(n) symbols before its
-    first, O(n^3) symbol work at worst.
+    hands that very tuple on in place of further frames: every block with
+    m cells left shares one tails object.  Store and memo belong to this
+    walk; the store holds only counts a frame has already run through and
+    the memo at most A_6 = 169 tilings, so the first block costs O(n) time
+    and memory plus that constant without allowed; with it, each of O(n)
+    frames may reject O(n) candidates of O(n) symbols before its first,
+    O(n^3) symbol work at worst.
     """
     _check_length(n)
     tails: list[tuple[tuple[str, ...], ...]] = [((),)]
@@ -191,7 +198,7 @@ def _walk(
         return tails[m]
 
     if n <= _MEMO_CELLS:
-        yield from tail(n)
+        yield (), tail(n)
         return
     store: dict[int, tuple[str, ...]] = {}
     pieces: list[str] = []
@@ -213,7 +220,18 @@ def _walk(
             done = store.get(left)
             frames.append(_candidates(left, allowed) if done is None else iter(done))
             continue
-        yield from map((*pieces, piece).__add__, tail(rest))
+        yield (*pieces, piece), tail(rest)
+
+
+def _walk(
+    n: int, allowed: Optional[Callable[[str], bool]] = None
+) -> Iterator[tuple[str, ...]]:
+    """Yield once, in lexicographic encoding order, the pieces of every
+    tiling of an n-board whose metatiles allowed admits (every tiling when
+    it is None): the blocks of _blocks, flattened, with their first-block
+    cost."""
+    for prefix, tails in _blocks(n, allowed):
+        yield from map(prefix.__add__, tails)
 
 
 def enumerate_tilings(

@@ -4,8 +4,8 @@ Each identity is one record of data.  It has a numeric mode (exact integer
 evaluation of both sides) and, where the proof is a conditioning argument
 over tilings, a combinatorial mode.  Identities 2-6 share one proof:
 condition on the last metatile a restriction forbids.  One loop
-enumerates the board, bins every tiling by the end cell and encoding of
-that metatile, and checks every bin against its predicted count, not just
+enumerates the board by block, bins every tiling by the end cell and
+encoding of that metatile, and checks every bin against its predicted count, not just
 the totals.
 
 Combinatorial mode is exhaustive, so it only runs where the enumerated
@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
-from .core import _walk, metatile_encodings
+from .core import _blocks, metatile_encodings
 from .sequences import A, C, FIB, RESTRICTIONS, S, T, Restriction, decimal, sum_form
 
 #: Longest board the combinatorial (exhaustive enumeration) mode will scan.
@@ -254,36 +254,81 @@ def _predicted(restriction: Restriction, board: int, a: list[int]) -> tuple[dict
 
 
 def _scan(
-    tilings: Iterable[tuple[str, ...]], allowed: Callable[[str], bool]
+    blocks: Iterable[tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]],
+    allowed: Callable[[str], bool],
 ) -> tuple[dict, int, bool]:
-    """Bin tilings, given as their pieces, by the (end cell, encoding) of
-    their last metatile allowed forbids, leaving unbinned those it admits
-    throughout.  Returns the bin counts, the number of tilings scanned, and
-    whether their joined encodings came in strictly increasing order: over
-    one enumeration, that proves in O(1) memory that no tiling is counted
-    twice.  allowed is asked once per distinct piece; its answers are kept
-    for the rest of the scan.
+    """Bin tilings, given as the (prefix, tails) blocks of core._blocks, by
+    the (end cell, encoding) of their last metatile allowed forbids,
+    leaving unbinned those it admits throughout.  Returns the bin counts,
+    the number of tilings scanned, and whether their joined encodings came
+    in strictly increasing order: over one enumeration, that proves that no
+    tiling is counted twice.
+
+    The tiling prefix + t is binned by the last forbidden piece of t, or of
+    prefix when t has none.  So a tail set is scanned tail by tail once,
+    into a census: bins keyed by end cell within the tail, the number of
+    tails with no forbidden piece, the first and last joined tail, and
+    whether the joined tails strictly increase.  The census is reused only
+    for that very tuple object, never for another of the same length, so
+    a foreign tail set gets its own.  Per block, the census bins are
+    shifted by the prefix's cell count, the tails with no forbidden piece
+    go to the prefix's last forbidden piece, and prefix + first tail must
+    come after the previous block's prefix + last tail: work per block,
+    not per tiling.  allowed is asked once per distinct piece; its answers
+    are kept for the rest of the scan.
     """
     observed: dict = {}
     admitted: dict[str, bool] = {}
+    censuses: dict[int, tuple] = {}
     prev, scanned, ordered = None, 0, True
-    for pieces in tilings:
-        encoding = "".join(pieces)
-        if prev is not None and encoding <= prev:
-            ordered = False
-        prev = encoding
-        scanned += 1
-        end = len(encoding)  # in half-cells
+
+    def last_forbidden(pieces: tuple[str, ...], end: int) -> Optional[tuple]:
+        # the (end cell, piece) key of the last forbidden piece, the pieces
+        # ending on half-cell end; None when allowed admits them all
         for piece in reversed(pieces):
             try:
                 ok = admitted[piece]
             except KeyError:
                 ok = admitted[piece] = allowed(piece)
             if not ok:
-                key = (end // 2, piece)
-                observed[key] = observed.get(key, 0) + 1
-                break
+                return end // 2, piece
             end -= len(piece)
+        return None
+
+    def census(tails: tuple[tuple[str, ...], ...]) -> tuple:
+        bins: dict = {}
+        free = 0
+        joined = ["".join(t) for t in tails]
+        for t, e in zip(tails, joined):
+            key = last_forbidden(t, len(e))
+            if key is None:
+                free += 1
+            else:
+                bins[key] = bins.get(key, 0) + 1
+        in_order = all(map(str.__lt__, joined, joined[1:]))
+        return tails, bins.items(), free, joined[0], joined[-1], in_order
+
+    for prefix, tails in blocks:
+        scanned += len(tails)
+        if not tails:
+            continue
+        # each entry holds its tails, so no other tuple takes that id
+        entry = censuses.get(id(tails))
+        if entry is None:
+            entry = censuses[id(tails)] = census(tails)
+        _, bins, free, first, last, in_order = entry
+        head = "".join(prefix)
+        if not in_order or (prev is not None and head + first <= prev):
+            ordered = False
+        prev = head + last
+        shift = len(head) // 2
+        for (k, piece), count in bins:
+            key = k + shift, piece
+            observed[key] = observed.get(key, 0) + count
+        if free:
+            key = last_forbidden(prefix, len(head))
+            if key is not None:
+                observed[key] = observed.get(key, 0) + free
     return observed, scanned, ordered
 
 
@@ -295,7 +340,7 @@ def _combinatorial_row(ident: _Identity, n: int) -> IdentityRow:
     board = ident.board(n)
     a = A.values(board)
     expected, relevant = _predicted(ident.restriction, board, a)
-    observed, scanned, ordered = _scan(_walk(board), ident.restriction.allowed)
+    observed, scanned, ordered = _scan(_blocks(board), ident.restriction.allowed)
     binned = sum(observed.values())
     bins_ok = (
         ordered and scanned == a[board] and observed == expected and binned == relevant

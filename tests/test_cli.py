@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -196,6 +197,17 @@ class TestVerify:
         )
         assert status == 0
         assert "combinatorial" in out
+
+    def test_all_combinatorial_output_is_pinned(self, capsys):
+        # the stdout the per-tiling scan printed: 7 numeric and 5
+        # combinatorial reports, every row byte for byte
+        status, out, _ = run(
+            capsys, "verify", "--identity", "all", "--max-n", "12", "--combinatorial"
+        )
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5dc221af47bc5531193af522dae6a54dcf54eedf1934640a74e71fb6875bc40e"
+        )
 
     def test_numeric_max_n_beyond_the_bound_is_usage_error(self, capsys):
         status, out, err = run(

@@ -204,6 +204,19 @@ class TestValidate:
         with pytest.raises(InvalidTilingError, match="outside the 2-board"):
             Tiling.from_placements(2, pl)
 
+    @pytest.mark.parametrize(
+        "pl, p",
+        [
+            ([(0, "h"), (1.0, "L"), (2, "h")], "1.0"),
+            ([(0, "h"), (1, "h"), (2.0, "h"), (3, "h")], "2.0"),
+        ],
+    )
+    def test_from_placements_rejects_a_half_cell_that_is_not_an_int(self, pl, p):
+        # 1.0 == 1 passes a range check: the fence raised a bare TypeError
+        # and the h at 2.0 was taken for half-cell 2
+        with pytest.raises(InvalidTilingError, match=rf"half-cell {p} is not an integer"):
+            Tiling.from_placements(2, pl)
+
     @pytest.mark.parametrize("p", range(4))
     @pytest.mark.parametrize("symbol", ["R", "x"])
     def test_from_placements_rejects_a_symbol_other_than_h_or_l(self, p, symbol):
@@ -367,6 +380,20 @@ class TestWalk:
         walk = list(core._walk(n, RESTRICTIONS[name].allowed))
         assert sorted(walk) == sorted(walk, key="".join) == walk
         assert len(set(walk)) == len(walk)
+
+
+    @pytest.mark.parametrize("name", RESTRICTIONS)
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_blocks_end_in_the_shared_memo_of_the_cells_left(self, n, name):
+        # every block with m cells left carries one tails object, the
+        # tilings of the m-board: the identity scans key their census on it
+        allowed = RESTRICTIONS[name].allowed
+        memo = {}
+        for prefix, tails in core._blocks(n, allowed):
+            m = n - len("".join(prefix)) // 2
+            assert m <= core._MEMO_CELLS
+            assert tails == tuple(core._walk(m, allowed))
+            assert memo.setdefault(m, tails) is tails
 
 
 class TestDecompose:

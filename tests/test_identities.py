@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from fencetiles import identities
+from fencetiles import core, identities
 from fencetiles.core import (
     count_tilings,
     enumerate_tilings,
@@ -211,11 +211,17 @@ class TestCombinatorialModes:
         assert report.n_max == 6  # a 13-cell board is the longest scanned
 
 
+def as_blocks(tilings):
+    """Piece tuples as the blocks _scan reads: each tiling its own block,
+    its pieces the prefix of the one empty tail."""
+    return [(pieces, ((),)) for pieces in tilings]
+
+
 def bin_of(ident: int, pieces: tuple[str, ...]):
     """The bin combinatorial mode of the identity puts the tiling with these
     pieces in, or None."""
     allowed = identities._IDENTITIES[ident].restriction.allowed
-    observed, scanned, _ = identities._scan([pieces], allowed)
+    observed, scanned, _ = identities._scan(as_blocks([pieces]), allowed)
     assert scanned == 1
     return next(iter(observed), None)
 
@@ -276,16 +282,18 @@ class TestLastFeatureKeys:
 class TestCountedOnce:
     """A tiling yielded twice, or out of order, must fail its row even when
     every bin count still comes out right.  The faults are injected into
-    the walk combinatorial mode reads, which yields piece tuples."""
+    the blocks combinatorial mode reads: the walk's tilings, rewritten,
+    each as its own block."""
 
     @staticmethod
     def patched(monkeypatch, rewrite):
-        real = identities._walk
+        real = identities._blocks
 
-        def _walk(n, allowed=None):
-            return iter(rewrite(list(real(n, allowed))))
+        def _blocks(n, allowed=None):
+            tilings = [p + t for p, tails in real(n, allowed) for t in tails]
+            return iter(as_blocks(rewrite(tilings)))
 
-        monkeypatch.setattr(identities, "_walk", _walk)
+        monkeypatch.setattr(identities, "_blocks", _blocks)
 
     @staticmethod
     def duplicate_within_a_bin(tilings):
@@ -373,7 +381,8 @@ class TestLastMetatileCoefficients:
             l
             for l in range(1, board + 1)
             for e in metatile_encodings(l)
-            if identities._scan([(e,)], restriction.allowed)[0] == {(l, e): 1}
+            if identities._scan(as_blocks([(e,)]), restriction.allowed)[0]
+            == {(l, e): 1}
         )
         for l in range(1, board + 1):
             assert ending_last[l] == keyed[l] == self.PAPER[ident](l), l
@@ -392,13 +401,152 @@ class TestScanMemo:
             calls[piece] += 1
             return restriction.allowed(piece)
 
-        observed, scanned, ordered = identities._scan(identities._walk(10), allowed)
+        observed, scanned, ordered = identities._scan(core._blocks(10), allowed)
         assert calls and max(calls.values()) == 1
-        pieces = {p for tiling in identities._walk(10) for p in tiling}
+        pieces = {p for tiling in core._walk(10) for p in tiling}
         assert set(calls) <= pieces
         a = A.values(10)
         expected, _ = identities._predicted(restriction, 10, a)
         assert (observed, scanned, ordered) == (expected, a[10], True)
+
+
+def reference_scan(tilings, allowed):
+    """The per-tiling scan: each tiling, given as its pieces, joined and
+    compared with the one before, then read backwards to its last forbidden
+    piece.  The oracle of the block scan."""
+    observed: dict = {}
+    admitted: dict[str, bool] = {}
+    prev, scanned, ordered = None, 0, True
+    for pieces in tilings:
+        encoding = "".join(pieces)
+        if prev is not None and encoding <= prev:
+            ordered = False
+        prev = encoding
+        scanned += 1
+        end = len(encoding)  # in half-cells
+        for piece in reversed(pieces):
+            try:
+                ok = admitted[piece]
+            except KeyError:
+                ok = admitted[piece] = allowed(piece)
+            if not ok:
+                key = (end // 2, piece)
+                observed[key] = observed.get(key, 0) + 1
+                break
+            end -= len(piece)
+    return observed, scanned, ordered
+
+
+class TestBlockScan:
+    """_scan reads the walk by block, one census per tail set; the
+    per-tiling reference_scan over the flattened walk must give the same
+    bins, count and order."""
+
+    @staticmethod
+    def boards(ident: int, longest: int) -> list[int]:
+        record = identities._IDENTITIES[ident]
+        return sorted(
+            {record.board(n) for n in range(record.n_min, identities.DEFAULT_ORACLE_N + 1)}
+            & set(range(longest + 1))
+        )
+
+    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    def test_equals_the_per_tiling_scan_up_to_13_cells(self, ident):
+        allowed = identities._IDENTITIES[ident].restriction.allowed
+        boards = self.boards(ident, 13)
+        assert boards[-1] >= 12
+        for board in boards:
+            expected = reference_scan(core._walk(board), allowed)
+            assert identities._scan(core._blocks(board), allowed) == expected, board
+
+    def test_identity_2_equals_the_per_tiling_scan_on_the_14_board(self):
+        allowed = identities._IDENTITIES[2].restriction.allowed
+        assert 14 in self.boards(2, 14)
+        expected = reference_scan(core._walk(14), allowed)
+        assert expected[1:] == (A.values(14)[14], True)
+        assert identities._scan(core._blocks(14), allowed) == expected
+
+    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    def test_fresh_copies_of_every_tail_set_pass(self, ident):
+        # a census is keyed on the tails object: equal tails in a new
+        # tuple get a census of their own, with the same outcome
+        allowed = identities._IDENTITIES[ident].restriction.allowed
+        blocks = [(p, tuple(list(tails))) for p, tails in core._blocks(9)]
+        assert len({id(tails) for _, tails in blocks}) == len(blocks)
+        expected = reference_scan(core._walk(9), allowed)
+        assert identities._scan(blocks, allowed) == expected
+
+
+class TestBlockFaults:
+    """A fault in the block stream fails its row: a tail duplicated in or
+    dropped from a tail set, two blocks swapped, and a block whose tail set
+    is a fresh tuple, as long as the memo it replaces, holding one tail
+    twice.  The rows read the 9-board, which the walk hands on in blocks
+    with m <= _MEMO_CELLS cells left."""
+
+    ROW = {2: 7, 3: 4, 4: 9, 5: 9, 6: 9}  # n with board(n) = 9
+
+    @staticmethod
+    def faulty_row(monkeypatch, ident, rewrite):
+        real = identities._blocks
+
+        def _blocks(n, allowed=None):
+            blocks = list(real(n, allowed))
+            return iter(rewrite(blocks) if n == 9 else blocks)
+
+        monkeypatch.setattr(identities, "_blocks", _blocks)
+        n = TestBlockFaults.ROW[ident]
+        assert identities._IDENTITIES[ident].board(n) == 9
+        return row_for(verify(ident, n, combinatorial=True), n)
+
+    @staticmethod
+    def rewrite_tails(blocks, i, rewrite):
+        prefix, tails = blocks[i]
+        return blocks[:i] + [(prefix, rewrite(tails))] + blocks[i + 1 :]
+
+    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    def test_a_duplicated_tail_fails(self, monkeypatch, ident):
+        row = self.faulty_row(
+            monkeypatch,
+            ident,
+            lambda bs: self.rewrite_tails(bs, 0, lambda ts: ts[:1] + ts),
+        )
+        assert not row.bins_ok
+
+    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    def test_a_dropped_tail_fails(self, monkeypatch, ident):
+        row = self.faulty_row(
+            monkeypatch,
+            ident,
+            lambda bs: self.rewrite_tails(bs, len(bs) // 2, lambda ts: ts[1:]),
+        )
+        assert not row.bins_ok
+
+    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    def test_two_swapped_blocks_fail(self, monkeypatch, ident):
+        row = self.faulty_row(
+            monkeypatch, ident, lambda bs: [bs[1], bs[0], *bs[2:]]
+        )
+        # every tiling binned once, only the order is wrong
+        assert row.lhs == row.rhs
+        assert not row.bins_ok
+
+    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    def test_a_fresh_tail_set_unlike_the_memo_fails(self, monkeypatch, ident):
+        def rewrite(blocks):
+            # the last block's tails are the memo of an m an earlier block
+            # already carried, so a census kept by m alone would pass this
+            # tuple of the same length, its last tail replaced by the one
+            # before it
+            *_, (prefix, tails) = blocks
+            assert len(tails) > 1
+            assert any(ts is tails for _, ts in blocks[:-1])
+            fresh = tails[:-1] + tails[-2:-1]
+            assert len(fresh) == len(tails) and fresh != tails
+            return blocks[:-1] + [(prefix, fresh)]
+
+        row = self.faulty_row(monkeypatch, ident, rewrite)
+        assert not row.bins_ok
 
 
 class TestNumericBound:
