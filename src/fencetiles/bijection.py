@@ -15,11 +15,19 @@ it rather than raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
 
-from .core import _TILING, InvalidTilingError, Tiling, _check_length, _walk, validate
+from .core import (
+    _TILING,
+    InvalidTilingError,
+    Tiling,
+    _blocks,
+    _check_length,
+    _walk,
+    validate,
+)
 
 
 class BijectionDomainError(ValueError):
@@ -139,26 +147,12 @@ def cassini_partition(t: Tiling) -> CassiniImage:
     return _image(_place(enc))
 
 
-def _sources(
-    n: int,
-) -> Iterator[tuple[tuple[str, ...], str, Optional[tuple[TargetCopy, str]], bool]]:
-    """Every source of the near-bijection at n as its pieces and encoding,
-    with its placement and whether it is a companion: the n-board tilings,
-    placed by _place, then the (n-2)-board tilings, which go into the third
-    copy through b_inverse's rewrite, except the all-bifence one.  Images
-    are not checked.
-    """
-    if n < 2:
-        _check_length(n)  # a negative length is named as such
-        raise ValueError("partition needs a board of length at least 2")
-    for pieces in _walk(n):
-        enc = "".join(pieces)
-        yield pieces, enc, _place(enc), False
-    third = TargetCopy.THIRD
-    for pieces in _walk(n - 2):
-        enc = "".join(pieces)
-        p = enc.rfind("h")
-        yield pieces, enc, (third, _expand_at_h(enc, p)) if p >= 0 else None, True
+def _companion(enc: str) -> Optional[tuple[TargetCopy, str]]:
+    """The copy and image encoding of the (n-2)-board companion enc: the
+    third copy through b_inverse's rewrite, or None for the all-bifence
+    tiling.  The image is not checked."""
+    p = enc.rfind("h")
+    return (TargetCopy.THIRD, _expand_at_h(enc, p)) if p >= 0 else None
 
 
 def cassini_sources(n: int) -> Iterator[tuple[Tiling, CassiniImage, bool]]:
@@ -169,8 +163,13 @@ def cassini_sources(n: int) -> Iterator[tuple[Tiling, CassiniImage, bool]]:
     except the all-bifence one, a source exception.  Every image is
     re-validated.
     """
-    for pieces, _, placed, companion in _sources(n):
-        yield Tiling(pieces), _image(placed), companion
+    if n < 2:
+        _check_length(n)  # a negative length is named as such
+        raise ValueError("partition needs a board of length at least 2")
+    for place, board, companion in ((_place, n, False), (_companion, n - 2, True)):
+        for pieces in _walk(board):
+            t = Tiling(pieces)
+            yield t, _image(place(t.encoding)), companion
 
 
 def _preimage(copy: TargetCopy, e: str) -> str:
@@ -196,64 +195,171 @@ class CassiniAudit:
     exception_side: str  # "source" (n even) or "target" (n odd)
     exception_count: int
     structure_ok: bool
+    # the first failing check, with one source encoding where it has one
+    failure: Optional[str] = field(default=None, compare=False)
+
+
+def _fault(
+    enc: str, placement: Optional[tuple[TargetCopy, str]], size: Optional[int] = None
+) -> Optional[str]:
+    """The audit's checks of one source encoding and its placement: None
+    when they pass, else the first failing check with the source.  A source
+    holding an h must fit a copy.  Its image must be size long when size is
+    given, hold an h where the copy needs one and match the whole-tiling
+    grammar core._TILING, checked before _preimage reads it, which must
+    give the source back."""
+    if placement is None:
+        return f"exceptions: {enc} holds an h but fits no copy" if "h" in enc else None
+    copy, e = placement
+    if (
+        (size is not None and len(e) != size)
+        or (copy is not TargetCopy.FIRST and "h" not in e)
+        or _TILING.fullmatch(e) is None
+    ):
+        return f"image grammar: {enc} -> copy {copy.value} {e!r} is not a target"
+    back = _preimage(copy, e)
+    if back != enc:
+        return f"preimage: {enc} -> copy {copy.value} {e} reads back as {back}"
+    return None
+
+
+def _census(tails: tuple[tuple[str, ...], ...], place) -> tuple:
+    """Place each tail of one tail set of core._blocks on its own, by place
+    (_place or _companion).  Returns the tails, then, over the tails holding
+    an h, the images per copy and the source exceptions, each image length
+    with the first tail and placement giving it, the first tail with its
+    placement and the first that fails _fault with its placement (None when
+    all pass); and last the tails holding no h, which the audit places
+    whole."""
+    counts = [0, 0, 0, 0]  # copies 1-3, source exceptions
+    widths: dict[int, tuple] = {}
+    free: list[str] = []
+    first = bad = None
+    for t in tails:
+        tail = "".join(t)
+        if "h" not in tail:
+            free.append(tail)
+            continue
+        placement = place(tail)
+        if first is None:
+            first = tail, placement
+        if placement is None:
+            counts[3] += 1
+        else:
+            counts[placement[0].value - 1] += 1
+            widths.setdefault(len(placement[1]), (tail, placement))
+        if bad is None and _fault(tail, placement) is not None:
+            bad = tail, placement
+    return tails, counts, widths, first, bad, free
+
+
+def _shifted(
+    head: str, placement: Optional[tuple[TargetCopy, str]]
+) -> Optional[tuple[TargetCopy, str]]:
+    """A tail's placement as the tiling head + tail gets it by the locality
+    lemma."""
+    return None if placement is None else (placement[0], head + placement[1])
+
+
+def _block_fault(head: str, census: tuple, place, size: int) -> Optional[str]:
+    """The audit's checks of the block head + tails from the census of its
+    tails: None when they pass, else the first failing check.  Its tails
+    hold no fault, its images are size long, and its first tiling whose tail
+    holds an h, placed whole, gets head + the census image.  A census fault
+    is named on the whole tiling; one that passes whole breaks locality."""
+    _, _, widths, first, bad, _ = census
+    if bad is not None:
+        source = head + bad[0]
+        return _fault(source, _shifted(head, bad[1]), size) or (
+            f"locality: {source} fails by its tail alone, not whole"
+        )
+    for width, (tail, placement) in widths.items():
+        if len(head) + width != size:
+            return _fault(head + tail, _shifted(head, placement), size)
+    if first is not None:
+        source = head + first[0]
+        if place(source) != _shifted(head, first[1]):
+            return f"locality: {source} is placed whole unlike its tail alone"
+    return None
 
 
 def cassini_audit(n: int) -> CassiniAudit:
     """Exhaustively audit the near-bijection at board length n >= 3.
 
-    One walk over the source encodings of _sources, placed by _place, and
-    one count of the (n-1)-board tilings, in O(n) memory.  Every image is
-    checked on its encoding: its length, an h where the copy needs one, and
-    the whole-tiling grammar pattern core._TILING, before _preimage reads
-    it, so an invalid image fails the audit rather than raising.  The map
-    is injective when _preimage gives back every placed source.  It is then
-    onto each copy when every image lies in the copy's targets (all
+    The sources are read by block from core._blocks: the n-board tilings,
+    placed by _place, then the (n-2)-board companions, placed by
+    _companion.  Every rewrite happens at the rightmost or second-rightmost
+    h, and a block's prefix is whole metatiles, so it ends in h or R, never
+    in L.  So a tail holding an h is placed alike alone and after the
+    prefix, and _preimage reads its image alike (the locality lemma).  Each
+    tail set is placed and checked once per role, tail by tail, into a
+    census reused only for that very tuple object; per block the census
+    counts are added and _block_fault checks the block.  The tails holding
+    no h (all bifences, or empty) have their rewrite site in the prefix, so
+    those tilings are placed and checked whole by _fault.
+
+    The map is injective when _preimage gives back every placed source.  It
+    is then onto each copy when every image lies in the copy's targets (all
     (n-1)-board tilings for the first copy, those holding an h for the
-    second and third) and the copy holds as many images as it has targets.
-    Exactly two all-bifence tilings must be left over, on the side the
-    parity of n predicts.
+    second and third, counted by block) and the copy holds as many images
+    as it has targets.  Exactly two all-bifence tilings must be left over,
+    on the side the parity of n predicts.  failure names the first check
+    that fails.  Memory is O(n) plus the walk's memo and one census per
+    tail set.
     """
     if n < 3:
         raise ValueError("audit needs n >= 3")
     targets = h_targets = 0
-    for pieces in _walk(n - 1):
-        targets += 1
-        h_targets += "h" in "".join(pieces)
+    for prefix, tails in _blocks(n - 1):
+        targets += len(tails)
+        if "h" in "".join(prefix):
+            h_targets += len(tails)
+        else:  # a prefix of bifences only: the board's first block
+            h_targets += sum("h" in "".join(t) for t in tails)
 
-    first, second = TargetCopy.FIRST, TargetCopy.SECOND
-    is_tiling = _TILING.fullmatch
     size = 2 * n - 2
-    placed = [0, 0, 0]
-    sources = source_exceptions = 0
-    images_ok = True
-    for _, enc, placement, _ in _sources(n):
-        sources += 1
-        if placement is None:
-            source_exceptions += 1
-            continue
-        copy, e = placement
-        placed[0 if copy is first else 1 if copy is second else 2] += 1
-        images_ok = (
-            images_ok
-            and len(e) == size
-            and (copy is first or "h" in e)
-            and is_tiling(e) is not None
-            and _preimage(copy, e) == enc
-        )
-    covered = placed == [targets, h_targets, h_targets]
+    tally = [0, 0, 0, 0]  # images in copies 1-3, source exceptions
+    failure: Optional[str] = None
+    for place, board in ((_place, n), (_companion, n - 2)):
+        censuses: dict[int, tuple] = {}
+        for prefix, tails in _blocks(board):
+            # each entry holds its tails, so no other tuple takes that id
+            entry = censuses.get(id(tails))
+            if entry is None:
+                entry = censuses[id(tails)] = _census(tails, place)
+            _, counts, _, _, _, free = entry
+            for k, count in enumerate(counts):
+                tally[k] += count
+            head = "".join(prefix)
+            if failure is None:
+                failure = _block_fault(head, entry, place, size)
+            for tail in free:  # holding no h: placed whole
+                source = head + tail
+                placement = place(source)
+                tally[3 if placement is None else placement[0].value - 1] += 1
+                if failure is None:
+                    failure = _fault(source, placement, size)
 
+    lhs = sum(tally)
+    for k, want in enumerate((targets, h_targets, h_targets)):
+        if failure is None and tally[k] != want:
+            failure = f"coverage: copy {k + 1} holds {tally[k]} images, expected {want}"
+
+    source_exceptions = tally[3]
     target_exceptions = 2 * (targets - h_targets)
     if n % 2 == 0:
-        exceptions_ok = source_exceptions == 2 and target_exceptions == 0
-        side = "source"
-        count = source_exceptions
+        side, count, expected = "source", source_exceptions, (2, 0)
     else:
-        exceptions_ok = source_exceptions == 0 and target_exceptions == 2
-        side = "target"
-        count = target_exceptions
+        side, count, expected = "target", target_exceptions, (0, 2)
+    if failure is None and (source_exceptions, target_exceptions) != expected:
+        failure = (
+            f"exceptions: {source_exceptions} on the source side and "
+            f"{target_exceptions} on the target side, expected "
+            f"{expected[0]} and {expected[1]}"
+        )
 
-    structure_ok = images_ok and covered and exceptions_ok
+    structure_ok = failure is None
     rhs = 3 * targets + 2 * (-1) ** n
     return CassiniAudit(
-        n, sources, rhs, sources == rhs and structure_ok, side, count, structure_ok
+        n, lhs, rhs, lhs == rhs and structure_ok, side, count, structure_ok, failure
     )

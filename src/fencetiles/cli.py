@@ -80,6 +80,8 @@ def _cmd_bijection(args) -> int:
             f"exceptions={audit.exception_count} on {audit.exception_side} side"
         )
         print("balanced" if audit.balanced else "UNBALANCED")
+        if not audit.balanced:
+            print(audit.failure, file=sys.stderr)
         return 0 if audit.balanced else 1
     for t, ci, companion in bijection.cassini_sources(n):
         source = t.encoding or "(empty)"  # the 0-board companion at n = 2

@@ -1,9 +1,8 @@
-import itertools
 import tracemalloc
 
 import pytest
 
-from fencetiles import bijection
+from fencetiles import bijection, core
 from fencetiles.bijection import (
     AllBifenceException,
     BijectionDomainError,
@@ -226,10 +225,77 @@ def set_based_audit(n: int) -> CassiniAudit:
     )
 
 
+def per_source_audit(n: int) -> CassiniAudit:
+    """Reference audit: one loop over every source on its whole encoding.
+    The n-board tilings are placed by bijection._place, the (n-2)-board
+    companions go into the third copy through b_inverse's rewrite, and each
+    image is checked (length, an h where the copy needs one, the grammar
+    pattern, then the left inverse) with the (n-1)-board targets counted
+    one tiling at a time."""
+    if n < 3:
+        raise ValueError("audit needs n >= 3")
+    targets = h_targets = 0
+    for pieces in core._walk(n - 1):
+        targets += 1
+        h_targets += "h" in "".join(pieces)
+
+    def sources():
+        for pieces in core._walk(n):
+            enc = "".join(pieces)
+            yield enc, bijection._place(enc)
+        for pieces in core._walk(n - 2):
+            enc = "".join(pieces)
+            p = enc.rfind("h")
+            yield enc, (
+                (TargetCopy.THIRD, bijection._expand_at_h(enc, p)) if p >= 0 else None
+            )
+
+    size = 2 * n - 2
+    placed = [0, 0, 0]
+    sources_seen = source_exceptions = 0
+    images_ok = True
+    for enc, placement in sources():
+        sources_seen += 1
+        if placement is None:
+            source_exceptions += 1
+            continue
+        copy, e = placement
+        placed[copy.value - 1] += 1
+        images_ok = (
+            images_ok
+            and len(e) == size
+            and (copy is TargetCopy.FIRST or "h" in e)
+            and core._TILING.fullmatch(e) is not None
+            and bijection._preimage(copy, e) == enc
+        )
+    covered = placed == [targets, h_targets, h_targets]
+
+    target_exceptions = 2 * (targets - h_targets)
+    if n % 2 == 0:
+        exceptions_ok = source_exceptions == 2 and target_exceptions == 0
+        side, count = "source", source_exceptions
+    else:
+        exceptions_ok = source_exceptions == 0 and target_exceptions == 2
+        side, count = "target", target_exceptions
+
+    structure_ok = images_ok and covered and exceptions_ok
+    rhs = 3 * targets + 2 * (-1) ** n
+    return CassiniAudit(
+        n, sources_seen, rhs, sources_seen == rhs and structure_ok, side, count,
+        structure_ok,
+    )
+
+
 class TestAuditOracle:
     @pytest.mark.parametrize("n", range(3, 12))
     def test_equals_set_based_audit(self, n):
         assert cassini_audit(n) == set_based_audit(n)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_equals_per_source_audit(self, n):
+        audit = cassini_audit(n)
+        assert audit == per_source_audit(n)
+        assert audit.failure is None
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_sources_in_order(self, n):
@@ -258,16 +324,58 @@ class TestAuditOracle:
         assert peak < 0.5e6
 
 
+class TestLocalityLemma:
+    """What the block audit trusts: a tail holding an h is placed, and read
+    back, alike alone and after its block's prefix."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_a_tail_holding_an_h_is_placed_alone(self, n):
+        for prefix, tails in core._blocks(n):
+            head = "".join(prefix)
+            assert not head.endswith("L")  # whole metatiles end in h or R
+            for t in tails:
+                tail = "".join(t)
+                if "h" not in tail:
+                    continue
+                source = head + tail
+                copy, image = bijection._place(tail)
+                assert bijection._place(source) == (copy, head + image)
+                assert bijection._preimage(copy, head + image) == source
+                # the same tiling as an (n+2)-board audit's companion
+                third, image = bijection._companion(tail)
+                assert bijection._companion(source) == (third, head + image)
+                assert bijection._preimage(third, head + image) == source
+
+
 class TestAuditFaults:
-    """A broken placement must fail the audit, never pass it or raise."""
+    """A broken placement must fail the audit, never pass it or raise, and
+    failure must name the check it broke and the source.  The victims sit
+    where the block audit reads a source (victims)."""
 
     @staticmethod
-    def audit_with(monkeypatch, n, rewrite):
-        real = bijection._place
-        monkeypatch.setattr(bijection, "_place", lambda enc: rewrite(enc, real(enc)))
-        audit = cassini_audit(n)
-        assert not audit.structure_ok
-        assert not audit.balanced
+    def victims(n, copy):
+        """Sources _place puts in copy, by the way the block audit reads
+        them.  "tail": tails of the walk's longest tail set, each placed
+        alone in the set's census.  "first": whole tilings, each the first
+        of a block with a prefix whose tail holds an h, placed whole as the
+        block's cross-check.  "h-free": whole tilings whose tail holds no
+        h, placed whole."""
+        found = {"tail": [], "first": [], "h-free": []}
+        blocks = list(core._blocks(n))
+        for tail in map("".join, max((tails for _, tails in blocks), key=len)):
+            if "h" in tail and bijection._place(tail)[0] is copy:
+                found["tail"].append(tail)
+        for prefix, tails in blocks:
+            head = "".join(prefix)
+            encodings = [head + "".join(t) for t in tails]
+            firsts = [e for e in encodings if "h" in e[len(head) :]][:1]
+            free = [e for e in encodings if "h" not in e[len(head) :]]
+            for kind, sources in (("first", firsts if head else []), ("h-free", free)):
+                for enc in sources:
+                    placed = bijection._place(enc)
+                    if placed is not None and placed[0] is copy:
+                        found[kind].append(enc)
+        return found
 
     @staticmethod
     def placed_in(n, copy):
@@ -275,56 +383,129 @@ class TestAuditFaults:
         placements = ((enc, bijection._place(enc)) for enc in encodings)
         return [enc for enc, placed in placements if placed and placed[0] is copy]
 
+    @staticmethod
+    def fails(monkeypatch, n, victim, rewrite, check):
+        """Audit n with _place(victim) rewritten; the audit must fail at
+        check, naming victim."""
+        real = bijection._place
+
+        def place(enc):
+            placed = real(enc)
+            return rewrite(placed) if enc == victim else placed
+
+        with monkeypatch.context() as m:
+            m.setattr(bijection, "_place", place)
+            audit = cassini_audit(n)
+        assert not audit.structure_ok
+        assert not audit.balanced
+        assert audit.failure.startswith(check + ":"), audit.failure
+        assert victim in audit.failure
+
+    def test_every_kind_of_victim_occurs(self):
+        # a "first" tiling never lands in copy 2, an "h-free" one never in
+        # copy 1; at n = 7 every other pair occurs, so no loop below is empty
+        found = {
+            (kind, copy)
+            for copy in TargetCopy
+            for kind, encodings in self.victims(7, copy).items()
+            if encodings
+        }
+        assert found == {
+            *(("tail", copy) for copy in TargetCopy),
+            ("first", TargetCopy.FIRST),
+            ("first", TargetCopy.THIRD),
+            ("h-free", TargetCopy.SECOND),
+            ("h-free", TargetCopy.THIRD),
+        }
+
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("copy", list(TargetCopy))
     def test_two_sources_share_one_image(self, monkeypatch, n, copy):
-        first, second = self.placed_in(n, copy)[:2]
-        shared = bijection._place(first)
-        self.audit_with(
-            monkeypatch, n, lambda enc, placed: shared if enc == second else placed
-        )
+        victims = self.victims(n, copy)
+        kept, victim = victims["tail"][:2]
+        shared = bijection._place(kept)
+        self.fails(monkeypatch, n, victim, lambda placed: shared, "preimage")
+        for kind, check in (("first", "locality"), ("h-free", "preimage")):
+            for victim in victims[kind][:1]:
+                other = next(e for e in self.placed_in(n, copy) if e != victim)
+                shared = bijection._place(other)
+                self.fails(monkeypatch, n, victim, lambda placed: shared, check)
 
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("copy", list(TargetCopy))
     def test_one_source_in_the_wrong_copy(self, monkeypatch, n, copy):
-        moved = self.placed_in(n, copy)[-1]
         other = TargetCopy(copy.value % 3 + 1)
-        self.audit_with(
-            monkeypatch,
-            n,
-            lambda enc, placed: (other, placed[1]) if enc == moved else placed,
-        )
+        victims = self.victims(n, copy)
+        for kind, check in (
+            ("tail", "preimage"), ("first", "locality"), ("h-free", "preimage")
+        ):
+            for victim in victims[kind][-1:]:
+                self.fails(
+                    monkeypatch, n, victim, lambda placed: (other, placed[1]), check
+                )
 
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("copy", list(TargetCopy))
     def test_one_source_becomes_an_exception(self, monkeypatch, n, copy):
-        dropped = self.placed_in(n, copy)[0]
-        self.audit_with(
-            monkeypatch, n, lambda enc, placed: None if enc == dropped else placed
+        victims = self.victims(n, copy)
+        for kind, check in (
+            ("tail", "exceptions"), ("first", "locality"), ("h-free", "exceptions")
+        ):
+            for victim in victims[kind][:1]:
+                self.fails(monkeypatch, n, victim, lambda placed: None, check)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_an_image_of_the_wrong_length_fails(self, monkeypatch, n):
+        # a third-copy tail sent through b_inverse's rewrite, as a companion
+        # is: a tiling two cells too long that _preimage reads back through
+        # b_map, so only the length check sees it
+        victim = self.victims(n, TargetCopy.THIRD)["tail"][0]
+        image = bijection._expand_at_h(victim, victim.rfind("h"))
+        self.fails(
+            monkeypatch,
+            n,
+            victim,
+            lambda placed: (TargetCopy.THIRD, image),
+            "image grammar",
         )
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_one_source_walked_twice(self, monkeypatch, n):
-        # the left inverse gives the repeated source back both times; only
-        # the per-copy counts see the extra image
-        real = bijection._sources
-        monkeypatch.setattr(
-            bijection,
-            "_sources",
-            lambda n: itertools.chain(real(n), list(real(n))[-1:]),
-        )
-        audit = cassini_audit(n)
-        assert not audit.structure_ok
-        assert not audit.balanced
+        # a block walked twice, then a tail dropped from the last block whose
+        # tail set an earlier block shares (if none does, the last block): the
+        # left inverse gives every source back, so only the per-copy counts
+        # see them, and only if the shorter tail set gets its own census
+        def duplicated(blocks):
+            return [*blocks, blocks[-1]]
+
+        def dropped(blocks):
+            ids = [id(tails) for _, tails in blocks]
+            shared = [i for i, key in enumerate(ids) if key in ids[:i]]
+            i = shared[-1] if shared else len(blocks) - 1
+            prefix, tails = blocks[i]
+            return [*blocks[:i], (prefix, tails[:-1]), *blocks[i + 1 :]]
+
+        real = bijection._blocks
+        for fault in (duplicated, dropped):
+            with monkeypatch.context() as m:
+                m.setattr(
+                    bijection,
+                    "_blocks",
+                    lambda b: fault(list(real(b))) if b == n else real(b),
+                )
+                audit = cassini_audit(n)
+            assert not audit.structure_ok
+            assert not audit.balanced
+            assert audit.failure.startswith("coverage: copy 1 "), audit.failure
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_invalid_image_fails(self, monkeypatch, capsys, n):
-        # one third-copy source (it ends in a lone free h) contracts to its
+        # one third-copy tail (it ends in a lone free h) contracts to its
         # image reversed: a non-tiling ending in a post, which the companion
         # branch of _preimage cannot read
-        victim = next(
-            t.encoding for t in enumerate_tilings(n) if t.encoding.endswith("Rh")
-        )
+        blocks = core._blocks(n)
+        longest = max((tails for _, tails in blocks), key=len)
+        victim = next(e for e in map("".join, longest) if e.endswith("Rh"))
         real = bijection._contract_at_h
 
         def contract(enc, p):
@@ -335,6 +516,11 @@ class TestAuditFaults:
         audit = cassini_audit(n)
         assert not audit.structure_ok
         assert not audit.balanced
-        # a failed verification, not an input error: exit 1
+        assert audit.failure.startswith("image grammar: ")
+        assert victim in audit.failure
+        # a failed verification, not an input error: exit 1, and the failed
+        # check on stderr
         assert main(["bijection", "--n", str(n), "--audit"]) == 1
-        assert capsys.readouterr().out.endswith("UNBALANCED\n")
+        out, err = capsys.readouterr()
+        assert out.endswith("UNBALANCED\n")
+        assert err == audit.failure + "\n"

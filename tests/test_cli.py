@@ -279,9 +279,10 @@ class TestBijection:
         ]
 
     def test_audit_balanced(self, capsys):
-        status, out, _ = run(capsys, "bijection", "--n", "5", "--audit")
+        status, out, err = run(capsys, "bijection", "--n", "5", "--audit")
         assert status == 0
         assert "balanced" in out
+        assert err == ""
 
 
 class TestRender:
