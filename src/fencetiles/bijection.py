@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Iterator, Optional
 
 from .core import (
@@ -24,10 +25,16 @@ from .core import (
     InvalidTilingError,
     Tiling,
     _blocks,
+    _censused,
     _check_length,
     _walk,
     validate,
 )
+
+
+#: Largest n the CLI audits: each step of 2 in n costs about 6.8 times more;
+#: n = 18 took about 4 s, n = 20 about 30 s (CPython 3.11.7, 2 shared cores).
+MAX_AUDIT_N = 18
 
 
 class BijectionDomainError(ValueError):
@@ -223,14 +230,14 @@ def _fault(
     return None
 
 
-def _census(tails: tuple[tuple[str, ...], ...], place) -> tuple:
+def _census(place, tails: tuple[tuple[str, ...], ...]) -> tuple:
     """Place each tail of one tail set of core._blocks on its own, by place
-    (_place or _companion).  Returns the tails, then, over the tails holding
-    an h, the images per copy and the source exceptions, each image length
-    with the first tail and placement giving it, the first tail with its
-    placement and the first that fails _fault with its placement (None when
-    all pass); and last the tails holding no h, which the audit places
-    whole."""
+    (_place or _companion).  Returns, over the tails holding an h, the
+    images per copy and the source exceptions; the tails holding no h,
+    which the audit places whole; and what _block_fault checks: each image
+    length with the first tail and placement giving it, the first tail with
+    its placement and the first that fails _fault with its placement (None
+    when all pass)."""
     counts = [0, 0, 0, 0]  # copies 1-3, source exceptions
     widths: dict[int, tuple] = {}
     free: list[str] = []
@@ -250,7 +257,7 @@ def _census(tails: tuple[tuple[str, ...], ...], place) -> tuple:
             widths.setdefault(len(placement[1]), (tail, placement))
         if bad is None and _fault(tail, placement) is not None:
             bad = tail, placement
-    return tails, counts, widths, first, bad, free
+    return counts, free, (widths, first, bad)
 
 
 def _shifted(
@@ -261,13 +268,13 @@ def _shifted(
     return None if placement is None else (placement[0], head + placement[1])
 
 
-def _block_fault(head: str, census: tuple, place, size: int) -> Optional[str]:
+def _block_fault(head: str, checks: tuple, place, size: int) -> Optional[str]:
     """The audit's checks of the block head + tails from the census of its
     tails: None when they pass, else the first failing check.  Its tails
     hold no fault, its images are size long, and its first tiling whose tail
     holds an h, placed whole, gets head + the census image.  A census fault
     is named on the whole tiling; one that passes whole breaks locality."""
-    _, _, widths, first, bad, _ = census
+    widths, first, bad = checks
     if bad is not None:
         source = head + bad[0]
         return _fault(source, _shifted(head, bad[1]), size) or (
@@ -291,12 +298,12 @@ def cassini_audit(n: int) -> CassiniAudit:
     _companion.  Every rewrite happens at the rightmost or second-rightmost
     h, and a block's prefix is whole metatiles, so it ends in h or R, never
     in L.  So a tail holding an h is placed alike alone and after the
-    prefix, and _preimage reads its image alike (the locality lemma).  Each
-    tail set is placed and checked once per role, tail by tail, into a
-    census reused only for that very tuple object; per block the census
-    counts are added and _block_fault checks the block.  The tails holding
-    no h (all bifences, or empty) have their rewrite site in the prefix, so
-    those tilings are placed and checked whole by _fault.
+    prefix, and _preimage reads its image alike (the locality lemma).
+    core._censused places and checks each tail set once per role, tail by
+    tail, into a census; per block the census counts are added and
+    _block_fault checks the block.  The tails holding no h (all bifences,
+    or empty) have their rewrite site in the prefix, so those tilings are
+    placed and checked whole by _fault.
 
     The map is injective when _preimage gives back every placed source.  It
     is then onto each copy when every image lies in the copy's targets (all
@@ -309,30 +316,25 @@ def cassini_audit(n: int) -> CassiniAudit:
     """
     if n < 3:
         raise ValueError("audit needs n >= 3")
+
+    def holding_h(tails):  # the target census: size, and tails holding an h
+        return len(tails), sum("h" in "".join(t) for t in tails)
+
     targets = h_targets = 0
-    for prefix, tails in _blocks(n - 1):
-        targets += len(tails)
-        if "h" in "".join(prefix):
-            h_targets += len(tails)
-        else:  # a prefix of bifences only: the board's first block
-            h_targets += sum("h" in "".join(t) for t in tails)
+    for _, head, (count, with_h) in _censused(_blocks(n - 1), holding_h):
+        targets += count
+        h_targets += count if "h" in head else with_h
 
     size = 2 * n - 2
     tally = [0, 0, 0, 0]  # images in copies 1-3, source exceptions
     failure: Optional[str] = None
     for place, board in ((_place, n), (_companion, n - 2)):
-        censuses: dict[int, tuple] = {}
-        for prefix, tails in _blocks(board):
-            # each entry holds its tails, so no other tuple takes that id
-            entry = censuses.get(id(tails))
-            if entry is None:
-                entry = censuses[id(tails)] = _census(tails, place)
-            _, counts, _, _, _, free = entry
+        census = partial(_census, place)
+        for _, head, (counts, free, checks) in _censused(_blocks(board), census):
             for k, count in enumerate(counts):
                 tally[k] += count
-            head = "".join(prefix)
             if failure is None:
-                failure = _block_fault(head, entry, place, size)
+                failure = _block_fault(head, checks, place, size)
             for tail in free:  # holding no h: placed whole
                 source = head + tail
                 placement = place(source)

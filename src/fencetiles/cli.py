@@ -74,6 +74,11 @@ def _cmd_verify(args) -> int:
 def _cmd_bijection(args) -> int:
     n = args.n
     if args.audit:
+        if n > bijection.MAX_AUDIT_N:
+            raise ValueError(
+                f"bijection --audit: n must be at most {bijection.MAX_AUDIT_N}, "
+                f"got {n}"
+            )
         audit = bijection.cassini_audit(n)
         print(
             f"n={audit.n} lhs={audit.lhs} rhs={audit.rhs} "

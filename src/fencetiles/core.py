@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 ALPHABET = frozenset("hLR")
 
@@ -221,6 +221,22 @@ def _blocks(
             frames.append(_candidates(left, allowed) if done is None else iter(done))
             continue
         yield (*pieces, piece), tail(rest)
+
+
+def _censused(blocks: Iterable[tuple], census: Callable) -> Iterator[tuple]:
+    """Yield (prefix, head, census(tails)) for each block (prefix, tails) of
+    _blocks that holds a tiling, head being the joined prefix: the one
+    block driver of the exhaustive checks.  census reads a tail set once;
+    its result is reused only for that very tuple object, never for an
+    equal one, so a tail set that is not the walk's memo gets its own.
+    Each memo entry holds its tails, so no other tuple takes that id."""
+    memo: dict[int, tuple] = {}
+    for prefix, tails in blocks:
+        if tails:
+            key = id(tails)
+            if key not in memo:
+                memo[key] = tails, census(tails)
+            yield prefix, "".join(prefix), memo[key][1]
 
 
 def _walk(

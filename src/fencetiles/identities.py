@@ -3,10 +3,11 @@
 Each identity is one record of data.  It has a numeric mode (exact integer
 evaluation of both sides) and, where the proof is a conditioning argument
 over tilings, a combinatorial mode.  Identities 2-6 share one proof:
-condition on the last metatile a restriction forbids.  One loop
-enumerates the board by block, bins every tiling by the end cell and
-encoding of that metatile, and checks every bin against its predicted count, not just
-the totals.
+condition on the last metatile a restriction forbids.  One scan reads the
+board by block through core._censused, the block driver it shares with
+the Cassini audit, bins every tiling by the end cell and encoding of that
+metatile, and checks every bin against its predicted count, not just the
+totals.
 
 Combinatorial mode is exhaustive, so it only runs where the enumerated
 board is short enough (MAX_ORACLE_BOARD cells).
@@ -20,7 +21,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
-from .core import _blocks, metatile_encodings
+from .core import _blocks, _censused, metatile_encodings
 from .sequences import A, C, FIB, RESTRICTIONS, S, T, Restriction, decimal, sum_form
 
 #: Longest board the combinatorial (exhaustive enumeration) mode will scan.
@@ -265,21 +266,18 @@ def _scan(
     tiling is counted twice.
 
     The tiling prefix + t is binned by the last forbidden piece of t, or of
-    prefix when t has none.  So a tail set is scanned tail by tail once,
-    into a census: bins keyed by end cell within the tail, the number of
-    tails with no forbidden piece, the first and last joined tail, and
-    whether the joined tails strictly increase.  The census is reused only
-    for that very tuple object, never for another of the same length, so
-    a foreign tail set gets its own.  Per block, the census bins are
-    shifted by the prefix's cell count, the tails with no forbidden piece
-    go to the prefix's last forbidden piece, and prefix + first tail must
-    come after the previous block's prefix + last tail: work per block,
-    not per tiling.  allowed is asked once per distinct piece; its answers
-    are kept for the rest of the scan.
+    prefix when t has none.  So core._censused reads each tail set into a
+    census: its size, bins keyed by end cell within the tail, the number
+    of tails with no forbidden piece, the first and last joined tail, and
+    whether the joined tails strictly increase.  Per block, the census bins
+    are shifted by the prefix's cell count, the tails with no forbidden
+    piece go to the prefix's last forbidden piece, and prefix + first tail
+    must come after the previous block's prefix + last tail: work per
+    block, not per tiling.  allowed is asked once per distinct piece; its
+    answers are kept for the rest of the scan.
     """
     observed: dict = {}
     admitted: dict[str, bool] = {}
-    censuses: dict[int, tuple] = {}
     prev, scanned, ordered = None, 0, True
 
     def last_forbidden(pieces: tuple[str, ...], end: int) -> Optional[tuple]:
@@ -306,18 +304,11 @@ def _scan(
             else:
                 bins[key] = bins.get(key, 0) + 1
         in_order = all(map(str.__lt__, joined, joined[1:]))
-        return tails, bins.items(), free, joined[0], joined[-1], in_order
+        return len(tails), bins.items(), free, joined[0], joined[-1], in_order
 
-    for prefix, tails in blocks:
-        scanned += len(tails)
-        if not tails:
-            continue
-        # each entry holds its tails, so no other tuple takes that id
-        entry = censuses.get(id(tails))
-        if entry is None:
-            entry = censuses[id(tails)] = census(tails)
-        _, bins, free, first, last, in_order = entry
-        head = "".join(prefix)
+    for prefix, head, entry in _censused(blocks, census):
+        size, bins, free, first, last, in_order = entry
+        scanned += size
         if not in_order or (prev is not None and head + first <= prev):
             ordered = False
         prev = head + last

@@ -52,16 +52,11 @@ def render_svg(t: Tiling) -> str:
     # tiles
     for p, c in enumerate(enc):
         x = margin + half * p
-        if c == "h":
-            parts.append(
-                f'<rect x="{x}" y="{top}" width="{half}" height="{tile_h}" '
-                'fill="white" stroke="black" stroke-width="1"/>'
-            )
-        else:
-            parts.append(
-                f'<rect x="{x}" y="{top}" width="{half}" height="{tile_h}" '
-                'fill="#555555" stroke="black" stroke-width="1"/>'
-            )
+        fill = "white" if c == "h" else "#555555"
+        parts.append(
+            f'<rect x="{x}" y="{top}" width="{half}" height="{tile_h}" '
+            f'fill="{fill}" stroke="black" stroke-width="1"/>'
+        )
     # a thin bar ties the two posts of each fence together across its gap
     bar_h = tile_h // 8
     for p, c in enumerate(enc):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fencetiles import identities, sequences
+from fencetiles import bijection, identities, sequences
 from fencetiles.cli import main
 from fencetiles.core import validate
 from fencetiles.sequences import count_A
@@ -283,6 +283,22 @@ class TestBijection:
         assert status == 0
         assert "balanced" in out
         assert err == ""
+
+    @pytest.mark.parametrize("n", [bijection.MAX_AUDIT_N + 1, 10**6])
+    def test_audit_beyond_the_cap_is_usage_error(self, capsys, n):
+        # the audit's time grows about 6.8-fold per 2 cells: an unbounded n
+        # would run for ever
+        start = time.perf_counter()
+        status, out, err = run(capsys, "bijection", "--n", str(n), "--audit")
+        assert time.perf_counter() - start < 1.0
+        assert (status, out) == (2, "")
+        assert err == f"error: bijection --audit: n must be at most 18, got {n}\n"
+
+    def test_the_audit_cap_itself_is_audited(self, capsys, monkeypatch):
+        monkeypatch.setattr(bijection, "MAX_AUDIT_N", 7)
+        status, out, _ = run(capsys, "bijection", "--n", "7", "--audit")
+        assert (status, out.splitlines()[-1]) == (0, "balanced")
+        assert run(capsys, "bijection", "--n", "8", "--audit")[:2] == (2, "")
 
 
 class TestRender:

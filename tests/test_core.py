@@ -396,6 +396,60 @@ class TestWalk:
             assert memo.setdefault(m, tails) is tails
 
 
+class TestCensused:
+    """The block driver of the identity scan and the Cassini audit: each
+    block with its joined prefix and the census of its tail set, taken once
+    per tails object."""
+
+    @staticmethod
+    def counting(calls):
+        # a census that records its tails and returns its own call number
+        def census(tails):
+            calls.append(tails)
+            return (len(calls),)
+
+        return census
+
+    def test_one_census_per_tail_set_over_the_12_board(self):
+        blocks = list(core._blocks(12))
+        calls = []
+        driven = list(core._censused(blocks, self.counting(calls)))
+        assert len(driven) == len(blocks) > len(calls)
+        assert len({id(tails) for _, tails in blocks}) == len(calls)
+        for (prefix, tails), (p, head, (call,)) in zip(blocks, driven):
+            assert p is prefix
+            assert head == "".join(prefix)
+            assert calls[call - 1] is tails
+
+    def test_an_equal_copy_of_a_tail_set_gets_its_own_census(self):
+        prefix, tails = next(core._blocks(12))
+        copy = tuple(list(tails))
+        assert copy == tails and copy is not tails
+        calls = []
+        blocks = [(prefix, tails), (prefix, copy), (prefix, tails)]
+        driven = list(core._censused(blocks, self.counting(calls)))
+        assert [entry for _, _, entry in driven] == [(1,), (2,), (1,)]
+        assert calls[0] is tails and calls[1] is copy
+
+    def test_a_block_with_no_tails_is_not_yielded(self):
+        calls = []
+        blocks = [(("hh",), ()), (("LLRR",), (("hh",),))]
+        driven = list(core._censused(blocks, self.counting(calls)))
+        assert driven == [(("LLRR",), "LLRR", (1,))]
+        assert calls == [(("hh",),)]
+
+    def test_a_tail_set_its_caller_drops_keeps_its_id(self):
+        # each tail set is a fresh tuple that only the driver still holds
+        # once its block is read: were its id free for the next one, that
+        # one would be handed the stale census
+        def blocks():
+            for k in range(100):
+                yield (), ((str(k),), ("hh",), ("hh",))
+
+        driven = core._censused(blocks(), lambda tails: tails[0][0])
+        assert [entry for _, _, entry in driven] == [str(k) for k in range(100)]
+
+
 class TestDecompose:
     def test_all_h_cuts_everywhere(self):
         assert decompose(validate("hhhh")) == [(0, "hh"), (1, "hh")]
