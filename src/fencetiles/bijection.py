@@ -15,15 +15,16 @@ it rather than raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator
 from enum import Enum
 from functools import partial
-from typing import Iterator, Optional
 
 from .core import (
     _TILING,
     InvalidTilingError,
     Tiling,
+    _Frozen,
     _blocks,
     _censused,
     _check_length,
@@ -54,11 +55,13 @@ class AllBifenceException(Enum):
     SOURCE = "all-bifence-source"
 
 
-@dataclass(frozen=True)
-class CassiniImage:
-    target_copy: Optional[TargetCopy]
-    image: Optional[Tiling]
-    exception: Optional[AllBifenceException] = None
+class CassiniImage(
+    namedtuple("CassiniImage", "target_copy image exception", defaults=(None,))
+):
+    """Where a source goes: a copy (TargetCopy) and its image (Tiling), or
+    neither and the exception (AllBifenceException)."""
+
+    __slots__ = ()
 
 
 def _contract_at_h(enc: str, p: int) -> str:
@@ -111,7 +114,7 @@ def b_inverse(u: Tiling) -> Tiling:
     return validate(_expand_at_h(enc, enc.rfind("h")))
 
 
-def _place(enc: str) -> Optional[tuple[TargetCopy, str]]:
+def _place(enc: str) -> tuple[TargetCopy, str] | None:
     """The copy and image encoding of the n-board tiling enc, or None for
     the all-bifence tiling, which fits nowhere.
 
@@ -135,7 +138,7 @@ def _place(enc: str) -> Optional[tuple[TargetCopy, str]]:
     return TargetCopy.THIRD, _contract_at_h(enc, p)
 
 
-def _image(placed: Optional[tuple[TargetCopy, str]]) -> CassiniImage:
+def _image(placed: tuple[TargetCopy, str] | None) -> CassiniImage:
     """A placement as the public image, re-validated."""
     if placed is None:
         return CassiniImage(None, None, AllBifenceException.SOURCE)
@@ -154,7 +157,7 @@ def cassini_partition(t: Tiling) -> CassiniImage:
     return _image(_place(enc))
 
 
-def _companion(enc: str) -> Optional[tuple[TargetCopy, str]]:
+def _companion(enc: str) -> tuple[TargetCopy, str] | None:
     """The copy and image encoding of the (n-2)-board companion enc: the
     third copy through b_inverse's rewrite, or None for the all-bifence
     tiling.  The image is not checked."""
@@ -193,22 +196,62 @@ def _preimage(copy: TargetCopy, e: str) -> str:
     return _contract_at_h(e, e.rfind("h"))  # a companion: b_map
 
 
-@dataclass(frozen=True)
-class CassiniAudit:
-    n: int
-    lhs: int  # A_n + A_{n-2}, by enumeration
-    rhs: int  # 3 A_{n-1} + 2 (-1)^n
-    balanced: bool
-    exception_side: str  # "source" (n even) or "target" (n odd)
-    exception_count: int
-    structure_ok: bool
-    # the first failing check, with one source encoding where it has one
-    failure: Optional[str] = field(default=None, compare=False)
+class CassiniAudit(_Frozen):
+    """The audit's result: lhs = A_n + A_{n-2} by enumeration, rhs = 3
+    A_{n-1} + 2 (-1)^n, and the exceptions on exception_side, "source" (n
+    even) or "target" (n odd).  failure names the first failing check, with
+    one source encoding where it has one; it is neither compared nor
+    hashed, so audits are equal by what they counted."""
+
+    def __init__(
+        self,
+        n: int,
+        lhs: int,
+        rhs: int,
+        balanced: bool,
+        exception_side: str,
+        exception_count: int,
+        structure_ok: bool,
+        failure: str | None = None,
+    ) -> None:
+        self.__dict__.update(
+            n=n,
+            lhs=lhs,
+            rhs=rhs,
+            balanced=balanced,
+            exception_side=exception_side,
+            exception_count=exception_count,
+            structure_ok=structure_ok,
+            failure=failure,
+        )
+
+    def _compared(self) -> tuple:  # every field but failure
+        return (
+            self.n,
+            self.lhs,
+            self.rhs,
+            self.balanced,
+            self.exception_side,
+            self.exception_count,
+            self.structure_ok,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _fault(
-    enc: str, placement: Optional[tuple[TargetCopy, str]], size: Optional[int] = None
-) -> Optional[str]:
+    enc: str, placement: tuple[TargetCopy, str] | None, size: int | None = None
+) -> str | None:
     """The audit's checks of one source encoding and its placement: None
     when they pass, else the first failing check with the source.  A source
     holding an h must fit a copy.  Its image must be size long when size is
@@ -261,14 +304,14 @@ def _census(place, tails: tuple[tuple[str, ...], ...]) -> tuple:
 
 
 def _shifted(
-    head: str, placement: Optional[tuple[TargetCopy, str]]
-) -> Optional[tuple[TargetCopy, str]]:
+    head: str, placement: tuple[TargetCopy, str] | None
+) -> tuple[TargetCopy, str] | None:
     """A tail's placement as the tiling head + tail gets it by the locality
     lemma."""
     return None if placement is None else (placement[0], head + placement[1])
 
 
-def _block_fault(head: str, checks: tuple, place, size: int) -> Optional[str]:
+def _block_fault(head: str, checks: tuple, place, size: int) -> str | None:
     """The audit's checks of the block head + tails from the census of its
     tails: None when they pass, else the first failing check.  Its tails
     hold no fault, its images are size long, and its first tiling whose tail
@@ -327,7 +370,7 @@ def cassini_audit(n: int) -> CassiniAudit:
 
     size = 2 * n - 2
     tally = [0, 0, 0, 0]  # images in copies 1-3, source exceptions
-    failure: Optional[str] = None
+    failure: str | None = None
     for place, board in ((_place, n), (_companion, n - 2)):
         census = partial(_census, place)
         for _, head, (counts, free, checks) in _censused(_blocks(board), census):

@@ -8,7 +8,6 @@ usage, input or I/O errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -32,6 +31,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     allowed = sequences.RESTRICTIONS[args.filter].allowed
+    if args.format == "jsonl":
+        import json  # deferred: most processes print no JSON
     emitted = 0
     for t in enumerate_tilings(args.n, allowed):
         if args.limit is not None and emitted >= args.limit:

@@ -22,10 +22,9 @@ encoding, Tiling.from_placements from (half-cell, symbol) tile pairs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Optional
 
 ALPHABET = frozenset("hLR")
 
@@ -48,14 +47,26 @@ def _check_length(n: int) -> None:
         raise ValueError(f"board length must be non-negative, got {n}")
 
 
-@dataclass(frozen=True, init=False)
-class Tiling:
+class _Frozen:
+    """A value whose attributes cannot be set or deleted: its constructor
+    writes them into __dict__ directly."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Tiling(_Frozen):
     """A tiling of an n-board, held as its encoding split into metatiles.
 
     ``pieces`` are the metatile encodings from left to right and
     ``encoding`` is their concatenation, of length 2n.  The constructor
     trusts its pieces: build tilings from outside input with validate or
-    Tiling.from_placements.
+    Tiling.from_placements.  Tilings are equal, and hash, by their pieces.
     """
 
     pieces: tuple[str, ...]
@@ -65,6 +76,17 @@ class Tiling:
         d = self.__dict__
         d["pieces"] = pieces
         d["encoding"] = "".join(pieces)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pieces == other.pieces
+
+    def __hash__(self) -> int:
+        return hash((self.pieces,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(pieces={self.pieces!r})"
 
     def __str__(self) -> str:
         return self.encoding
@@ -141,7 +163,7 @@ def _metatile(lead: str, length_cells: int) -> str:
     return lead + "LLRR" * (rest // 4) + ("h" if rest % 4 == 1 else "LhR")
 
 
-def _candidates(cells: int, allowed: Optional[Callable[[str], bool]]) -> Iterator[str]:
+def _candidates(cells: int, allowed: Callable[[str], bool] | None) -> Iterator[str]:
     """Every metatile of at most `cells` cells that allowed admits (every
     one when allowed is None), in encoding order: LLRR, then those starting
     LhR, then those starting h, each family from the longest to the
@@ -160,7 +182,7 @@ _MEMO_CELLS = 6
 
 
 def _blocks(
-    n: int, allowed: Optional[Callable[[str], bool]] = None
+    n: int, allowed: Callable[[str], bool] | None = None
 ) -> Iterator[tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]]:
     """Yield, in lexicographic encoding order, the tilings of an n-board
     whose metatiles allowed admits (every tiling when it is None) by block:
@@ -240,7 +262,7 @@ def _censused(blocks: Iterable[tuple], census: Callable) -> Iterator[tuple]:
 
 
 def _walk(
-    n: int, allowed: Optional[Callable[[str], bool]] = None
+    n: int, allowed: Callable[[str], bool] | None = None
 ) -> Iterator[tuple[str, ...]]:
     """Yield once, in lexicographic encoding order, the pieces of every
     tiling of an n-board whose metatiles allowed admits (every tiling when
@@ -251,7 +273,7 @@ def _walk(
 
 
 def enumerate_tilings(
-    n: int, allowed: Optional[Callable[[str], bool]] = None
+    n: int, allowed: Callable[[str], bool] | None = None
 ) -> Iterator[Tiling]:
     """Yield once, in lexicographic encoding order, every tiling of an
     n-board whose metatiles allowed admits (every tiling when it is None):
@@ -260,7 +282,7 @@ def enumerate_tilings(
 
 
 def count_tilings(
-    n: int, tile_filter: Optional[Callable[[Tiling], bool]] = None
+    n: int, tile_filter: Callable[[Tiling], bool] | None = None
 ) -> int:
     """The number of n-board tilings tile_filter keeps (all when it is None),
     by generating every tiling and discarding the rest: the slow oracle of
@@ -295,7 +317,7 @@ def decompose(t: Tiling) -> list[tuple[int, str]]:
     return list(zip(starts, t.pieces))
 
 
-def last_positions(t: Tiling) -> tuple[Optional[int], Optional[int]]:
+def last_positions(t: Tiling) -> tuple[int | None, int | None]:
     """(last fence cell, last h half-cell): the 1-based cell holding the
     right post of the last fence and the half-cell index of the rightmost
     half-square, each None when the tiling has no such tile."""

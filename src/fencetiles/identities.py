@@ -15,11 +15,10 @@ board is short enough (MAX_ORACLE_BOARD cells).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Iterable, Optional
 
 from .core import _blocks, _censused, metatile_encodings
 from .sequences import A, C, FIB, RESTRICTIONS, S, T, Restriction, decimal, sum_form
@@ -40,31 +39,30 @@ class Mode(Enum):
     COMBINATORIAL = "combinatorial"
 
 
-@dataclass(frozen=True)
-class IdentityRow:
-    n: int
-    lhs: int
-    rhs: int
-    bins_ok: bool = True
+class IdentityRow(namedtuple("IdentityRow", "n lhs rhs bins_ok", defaults=(True,))):
+    """Both sides of an identity at n, and in combinatorial mode whether
+    every bin held its predicted count."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.lhs == self.rhs and self.bins_ok
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity_id: int
-    n_min: int
-    n_max: int
-    mode: Mode
-    rows: tuple[IdentityRow, ...]
+class IdentityReport(namedtuple("IdentityReport", "identity_id n_min n_max mode rows")):
+    """One identity checked in one Mode for n = n_min..n_max: a tuple of
+    IdentityRow."""
+
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
         return all(row.passed for row in self.rows)
 
     def to_json(self) -> str:
+        import json  # deferred: most processes print no JSON
+
         return json.dumps(
             {
                 "identity_id": self.identity_id,
@@ -104,20 +102,19 @@ def _squares(n_max: int) -> tuple[list[int], list[int]]:
     return sq, list(accumulate(sq, initial=0))
 
 
-@dataclass(frozen=True)
-class _Identity:
-    """An identity as data: the least n it holds for, and its numeric rows
-    for n = n_min..n_max.
+class _Identity(
+    namedtuple("_Identity", "n_min numeric board restriction", defaults=(None, None))
+):
+    """An identity as data: the least n it holds for, and numeric(n_max),
+    its rows for n = n_min..n_max.
 
     Where the proof conditions on the last metatile a restriction forbids,
-    combinatorial mode enumerates board(n), bins its tilings by that
-    metatile (_scan) and checks the bins against _predicted.
+    combinatorial mode enumerates board(n) cells, bins its tilings by that
+    metatile (_scan) and checks the bins against _predicted; board and
+    restriction are None for the identities without that mode.
     """
 
-    n_min: int
-    numeric: Callable[[int], list[IdentityRow]]
-    board: Optional[Callable[[int], int]] = None
-    restriction: Optional[Restriction] = None
+    __slots__ = ()
 
 
 def _identity_1_rows(n_max: int) -> list[IdentityRow]:
@@ -280,7 +277,7 @@ def _scan(
     admitted: dict[str, bool] = {}
     prev, scanned, ordered = None, 0, True
 
-    def last_forbidden(pieces: tuple[str, ...], end: int) -> Optional[tuple]:
+    def last_forbidden(pieces: tuple[str, ...], end: int) -> tuple | None:
         # the (end cell, piece) key of the last forbidden piece, the pieces
         # ending on half-cell end; None when allowed admits them all
         for piece in reversed(pieces):

@@ -17,8 +17,8 @@ sum_form derives a twin of its table from the metatile alphabet
 
 from __future__ import annotations
 
-import json
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable
 
 from .core import metatile_encodings
 
@@ -106,12 +106,12 @@ def count_T(n: int) -> int:
     return T.value(n)
 
 
-class Restriction(NamedTuple):
-    """A rule on tilings as data: the metatile encodings it admits, and the
-    table counting the n-board tilings made only of those metatiles."""
+class Restriction(namedtuple("Restriction", "table allowed")):
+    """A rule on tilings as data: allowed(encoding) tells the metatile
+    encodings it admits, and table (a SequenceTable) counts the n-board
+    tilings made only of those metatiles."""
 
-    table: SequenceTable
-    allowed: Callable[[str], bool]
+    __slots__ = ()
 
 
 #: The CLI --filter rules.  Identities 4-6 condition on the last metatile
@@ -247,6 +247,8 @@ def sequence_csv(name: str, n_max: int) -> str:
 
 def sequence_jsonl(name: str, n_max: int) -> str:
     """JSON-lines export; values as decimal text to avoid precision loss."""
+    import json  # deferred: most processes print no JSON
+
     lines = [
         json.dumps({"name": name, "n": i, "value": decimal(v)})
         for i, v in enumerate(_values(name, n_max))

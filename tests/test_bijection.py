@@ -524,3 +524,80 @@ class TestAuditFaults:
         out, err = capsys.readouterr()
         assert out.endswith("UNBALANCED\n")
         assert err == audit.failure + "\n"
+
+
+class TestRecordValues:
+    """CassiniImage and CassiniAudit are frozen values: equal and hashed by
+    their fields, except the audit's failure, which neither compares nor
+    hashes."""
+
+    def test_image_equal_and_hash_by_fields(self):
+        a = CassiniImage(TargetCopy.FIRST, validate("hh"))
+        b = CassiniImage(TargetCopy.FIRST, validate("hh"), None)
+        assert a == b and hash(a) == hash(b)
+        assert a != CassiniImage(TargetCopy.SECOND, validate("hh"))
+        assert a != CassiniImage(None, None, AllBifenceException.SOURCE)
+        assert len({a, b, CassiniImage(None, None, AllBifenceException.SOURCE)}) == 2
+
+    def test_image_defaults_to_no_exception(self):
+        assert CassiniImage(TargetCopy.THIRD, validate("hh")).exception is None
+
+    def test_image_repr(self):
+        assert repr(CassiniImage(TargetCopy.FIRST, validate("hh"))) == (
+            "CassiniImage(target_copy=<TargetCopy.FIRST: 1>, "
+            "image=Tiling(pieces=('hh',)), exception=None)"
+        )
+        assert repr(CassiniImage(None, None, AllBifenceException.SOURCE)) == (
+            "CassiniImage(target_copy=None, image=None, "
+            "exception=<AllBifenceException.SOURCE: 'all-bifence-source'>)"
+        )
+
+    def test_image_immutable(self):
+        ci = cassini_partition(validate("hhhh"))
+        for name in ("target_copy", "exception", "other"):
+            with pytest.raises(AttributeError):
+                setattr(ci, name, None)
+        with pytest.raises(AttributeError):
+            del ci.image
+        assert ci == CassiniImage(TargetCopy.FIRST, validate("hh"))
+
+    def test_audits_differing_only_in_failure_are_equal(self):
+        fields = (5, 73, 73, True, "target", 2, True)
+        quiet, loud = CassiniAudit(*fields), CassiniAudit(*fields, "coverage: x")
+        assert quiet == loud and hash(quiet) == hash(loud)
+        assert len({quiet, loud}) == 1
+        assert quiet.failure is None and loud.failure == "coverage: x"
+        assert quiet != CassiniAudit(5, 73, 73, True, "target", 2, False)
+        assert quiet == cassini_audit(5)
+
+    def test_audit_hash_is_the_hash_of_its_compared_fields(self):
+        fields = (5, 73, 73, True, "target", 2, True)
+        assert hash(CassiniAudit(*fields, "anything")) == hash(fields)
+
+    def test_audit_equal_only_to_an_audit(self):
+        fields = (5, 73, 73, True, "target", 2, True)
+        audit = CassiniAudit(*fields)
+        assert audit != fields and audit != (*fields, None)
+        assert audit.__eq__(fields) is NotImplemented
+
+    def test_audit_repr_shows_the_failure(self):
+        assert repr(cassini_audit(4)) == (
+            "CassiniAudit(n=4, lhs=29, rhs=29, balanced=True, "
+            "exception_side='source', exception_count=2, structure_ok=True, "
+            "failure=None)"
+        )
+        assert repr(CassiniAudit(3, 1, 2, False, "target", 0, False, "x")) == (
+            "CassiniAudit(n=3, lhs=1, rhs=2, balanced=False, "
+            "exception_side='target', exception_count=0, structure_ok=False, "
+            "failure='x')"
+        )
+
+    def test_audit_immutable(self):
+        audit = cassini_audit(3)
+        for name in ("n", "failure", "other"):
+            with pytest.raises(AttributeError):
+                setattr(audit, name, None)
+        for name in ("balanced", "failure"):
+            with pytest.raises(AttributeError):
+                delattr(audit, name)
+        assert (audit.n, audit.failure) == (3, None)

@@ -387,3 +387,15 @@ class TestImport:
             [argv[0], "-c", code], capture_output=True, text=True, env=env, timeout=20
         )
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n")
+
+    def test_import_loads_no_heavy_stdlib_module(self):
+        # none of these is needed to start the CLI; -S keeps site-packages'
+        # .pth files, which may import any of them, out of the process
+        argv, env = cli_command()
+        heavy = {"dataclasses", "inspect", "typing", "json"}
+        code = f"import sys, fencetiles.cli; print(sorted({heavy} & set(sys.modules)))"
+        proc = subprocess.run(
+            [argv[0], "-S", "-c", code],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")

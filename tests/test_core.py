@@ -253,6 +253,29 @@ class TestTilingValue:
         with pytest.raises(AttributeError):
             del t.pieces
 
+    def test_immutable_beyond_its_field(self):
+        t = validate("hh")
+        for name in ("encoding", "other"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, "hh")
+        with pytest.raises(AttributeError):
+            del t.encoding
+        assert t.encoding == "hh" and not hasattr(t, "other")
+
+    def test_repr(self):
+        assert repr(validate("hhLLRR")) == "Tiling(pieces=('hh', 'LLRR'))"
+        assert repr(Tiling(())) == "Tiling(pieces=())"
+
+    def test_hash_is_the_hash_of_its_field(self):
+        t = validate("LhRhhh")
+        assert hash(t) == hash((("LhRh", "hh"),))
+
+    def test_equal_only_to_a_tiling(self):
+        t = validate("hh")
+        for other in ("hh", ("hh",), (("hh",),)):
+            assert t != other and other != t
+        assert t.__eq__(("hh",)) is NotImplemented
+
 
 class TestEnumerate:
     def test_n0_single_empty_tiling(self):

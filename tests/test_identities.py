@@ -607,3 +607,81 @@ class TestReportShape:
         for ident, n_min in ((1, 2), (7, 1)):
             report = verify(ident, 5, combinatorial=True)
             assert (report.mode, report.n_min) == (Mode.NUMERIC, n_min)
+
+
+class TestRecordValues:
+    """IdentityRow, IdentityReport and _Identity are frozen values, equal
+    and hashed by their fields."""
+
+    def test_row_defaults_to_bins_ok(self):
+        row = identities.IdentityRow(3, 4, 4)
+        assert row.bins_ok is True and row.passed
+        assert not identities.IdentityRow(3, 4, 4, False).passed
+
+    def test_row_equal_and_hash_by_fields(self):
+        a, b = identities.IdentityRow(3, 4, 4), identities.IdentityRow(3, 4, 4, True)
+        assert a == b and hash(a) == hash(b) == hash((3, 4, 4, True))
+        assert a != identities.IdentityRow(3, 4, 4, False)
+        assert len({a, b, identities.IdentityRow(4, 4, 4)}) == 2
+
+    def test_row_repr(self):
+        assert repr(identities.IdentityRow(3, 4, 5, False)) == (
+            "IdentityRow(n=3, lhs=4, rhs=5, bins_ok=False)"
+        )
+
+    def test_row_immutable(self):
+        row = identities.IdentityRow(3, 4, 4)
+        for name in ("n", "bins_ok", "other"):
+            with pytest.raises(AttributeError):
+                setattr(row, name, 0)
+        with pytest.raises(AttributeError):
+            del row.lhs
+        assert row == identities.IdentityRow(3, 4, 4)
+
+    def test_report_equal_and_hash_by_fields(self):
+        a, b = verify(2, 3), verify(2, 3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != verify(2, 4)
+        assert a != verify(2, 3, combinatorial=True)
+
+    def test_report_repr(self):
+        assert repr(verify(1, 3)) == (
+            "IdentityReport(identity_id=1, n_min=2, n_max=3, "
+            "mode=<Mode.NUMERIC: 'numeric'>, rows=("
+            "IdentityRow(n=2, lhs=1, rhs=1, bins_ok=True), "
+            "IdentityRow(n=3, lhs=4, rhs=4, bins_ok=True)))"
+        )
+
+    def test_report_immutable(self):
+        report = verify(1, 3)
+        for name in ("rows", "mode", "other"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, ())
+        with pytest.raises(AttributeError):
+            del report.identity_id
+        assert report == verify(1, 3)
+
+    def test_identity_defaults_to_numeric_only(self):
+        record = identities._Identity(2, len)
+        assert (record.board, record.restriction) == (None, None)
+        assert record == identities._Identity(2, len, None, None)
+        assert hash(record) == hash(identities._Identity(2, len, None, None))
+        assert record != identities._Identity(1, len)
+        assert identities._IDENTITIES[1] == identities._Identity(
+            2, identities._identity_1_rows
+        )
+
+    def test_identity_repr(self):
+        assert repr(identities._Identity(2, len)) == (
+            "_Identity(n_min=2, numeric=<built-in function len>, board=None, "
+            "restriction=None)"
+        )
+
+    def test_identity_immutable(self):
+        record = identities._IDENTITIES[4]
+        for name in ("n_min", "restriction", "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            del record.board
+        assert record.n_min == 0 and record.restriction is not None
