@@ -27,8 +27,7 @@ from .core import (
     _Frozen,
     _blocks,
     _censused,
-    _check_length,
-    _walk,
+    enumerate_tilings,
     validate,
 )
 
@@ -167,19 +166,16 @@ def _companion(enc: str) -> tuple[TargetCopy, str] | None:
 
 def cassini_sources(n: int) -> Iterator[tuple[Tiling, CassiniImage, bool]]:
     """Every source of the near-bijection at n with its image and whether it
-    is a companion.  The n-board tilings are placed by _place; the
-    companions, the (n-2)-board tilings, go into the third copy through
-    b_inverse (so their images end in a fence, the others there in an h),
-    except the all-bifence one, a source exception.  Every image is
-    re-validated.
+    is a companion.  The n-board tilings are placed by cassini_partition,
+    which rejects n < 2 at the first tiling; the companions, the (n-2)-board
+    tilings, go into the third copy through b_inverse (so their images end
+    in a fence, the others there in an h), except the all-bifence one, a
+    source exception.  Every image is re-validated.
     """
-    if n < 2:
-        _check_length(n)  # a negative length is named as such
-        raise ValueError("partition needs a board of length at least 2")
-    for place, board, companion in ((_place, n, False), (_companion, n - 2, True)):
-        for pieces in _walk(board):
-            t = Tiling(pieces)
-            yield t, _image(place(t.encoding)), companion
+    for t in enumerate_tilings(n):
+        yield t, cassini_partition(t), False
+    for u in enumerate_tilings(n - 2):
+        yield u, _image(_companion(u.encoding)), True
 
 
 def _preimage(copy: TargetCopy, e: str) -> str:

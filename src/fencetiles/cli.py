@@ -16,11 +16,13 @@ from .core import enumerate_tilings, validate
 from .render import FORMATS, render
 
 
+def _at_most(what: str, n: int, cap: int) -> None:
+    if n > cap:
+        raise ValueError(f"{what}: n must be at most {cap}, got {n}")
+
+
 def _cmd_count(args) -> int:
-    if args.n > sequences.MAX_COUNT_N:
-        raise ValueError(
-            f"count: n must be at most {sequences.MAX_COUNT_N}, got {args.n}"
-        )
+    _at_most("count", args.n, sequences.MAX_COUNT_N)
     if args.seq == "hsq":
         value = sequences.count_halfsquare_square(args.n)
     else:
@@ -30,11 +32,15 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.filter == "none":
+        _at_most("enumerate", args.n, sequences.MAX_COUNT_N)
+    else:
+        _at_most(f"enumerate --filter {args.filter}", args.n, sequences.MAX_FILTERED_N)
     allowed = sequences.RESTRICTIONS[args.filter].allowed
     if args.format == "jsonl":
         import json  # deferred: most processes print no JSON
-    emitted = 0
-    for t in enumerate_tilings(args.n, allowed):
+    # not islice: --limit 0 must still start the walk, which rejects n < 0
+    for emitted, t in enumerate(enumerate_tilings(args.n, allowed)):
         if args.limit is not None and emitted >= args.limit:
             break
         if args.format == "jsonl":
@@ -46,7 +52,6 @@ def _cmd_enumerate(args) -> int:
             print(json.dumps(record))
         else:
             print(t.encoding)
-        emitted += 1
     return 0
 
 
@@ -75,11 +80,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bijection(args) -> int:
     n = args.n
     if args.audit:
-        if n > bijection.MAX_AUDIT_N:
-            raise ValueError(
-                f"bijection --audit: n must be at most {bijection.MAX_AUDIT_N}, "
-                f"got {n}"
-            )
+        _at_most("bijection --audit", n, bijection.MAX_AUDIT_N)
         audit = bijection.cassini_audit(n)
         print(
             f"n={audit.n} lhs={audit.lhs} rhs={audit.rhs} "
@@ -89,6 +90,7 @@ def _cmd_bijection(args) -> int:
         if not audit.balanced:
             print(audit.failure, file=sys.stderr)
         return 0 if audit.balanced else 1
+    _at_most("bijection", n, sequences.MAX_COUNT_N)
     for t, ci, companion in bijection.cassini_sources(n):
         source = t.encoding or "(empty)"  # the 0-board companion at n = 2
         if ci.exception is not None:

@@ -26,7 +26,8 @@ from .sequences import A, C, FIB, RESTRICTIONS, S, T, Restriction, decimal, sum_
 #: Longest board the combinatorial (exhaustive enumeration) mode will scan.
 MAX_ORACLE_BOARD = 14
 
-#: Default cap on n for combinatorial verification.
+#: Largest n combinatorial mode checks (identities 2-6); rows above it are
+#: left out whatever n_max asks, so this is a hard cap, not a default.
 DEFAULT_ORACLE_N = 12
 
 #: Largest n_max numeric mode checks: its rows hold every F_i^2 up to
@@ -270,22 +271,16 @@ def _scan(
     are shifted by the prefix's cell count, the tails with no forbidden
     piece go to the prefix's last forbidden piece, and prefix + first tail
     must come after the previous block's prefix + last tail: work per
-    block, not per tiling.  allowed is asked once per distinct piece; its
-    answers are kept for the rest of the scan.
+    block, not per tiling.
     """
     observed: dict = {}
-    admitted: dict[str, bool] = {}
     prev, scanned, ordered = None, 0, True
 
     def last_forbidden(pieces: tuple[str, ...], end: int) -> tuple | None:
         # the (end cell, piece) key of the last forbidden piece, the pieces
         # ending on half-cell end; None when allowed admits them all
         for piece in reversed(pieces):
-            try:
-                ok = admitted[piece]
-            except KeyError:
-                ok = admitted[piece] = allowed(piece)
-            if not ok:
+            if not allowed(piece):
                 return end // 2, piece
             end -= len(piece)
         return None

@@ -176,9 +176,14 @@ def t_via_sum_form(n: int) -> int:
     return sum_form(RESTRICTIONS["odd-metatiles"].allowed).value(n)
 
 
-#: Largest n the CLI count evaluates; A_n has about 0.42 n digits, and
-#: n = 10^6 takes a few seconds.
+#: Largest n the CLI count evaluates, and the longest board it enumerates
+#: or lists: A_n has about 0.42 n digits, and n = 10^6 takes a few seconds;
+#: the walk keeps a frame per metatile, about 180 MB at 10^6 cells.
 MAX_COUNT_N = 1_000_000
+
+#: Longest board the CLI enumerates under a filter: the first kept tiling
+#: costs O(n^3) (see core._blocks), 0.8 s at n = 2,000 and 1.9 s at 3,000.
+MAX_FILTERED_N = 2_000
 
 #: Longest board count_halfsquare_square enumerates; its work grows like
 #: fib(2n+1), about 3.5 million leaves at the cap.

@@ -120,6 +120,25 @@ class TestCassiniPartition:
         ci = cassini_partition(validate("LLRRhh"))
         assert ci.target_copy is TargetCopy.FIRST
 
+    @pytest.mark.parametrize("encoding", ["", "hh"])
+    def test_boards_below_two_cells_are_rejected(self, encoding):
+        with pytest.raises(ValueError) as exc:
+            cassini_partition(validate(encoding))
+        assert str(exc.value) == "partition needs a board of length at least 2"
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (-1, "board length must be non-negative, got -1"),
+            (0, "partition needs a board of length at least 2"),
+            (1, "partition needs a board of length at least 2"),
+        ],
+    )
+    def test_sources_below_two_cells_raise_before_the_first(self, n, message):
+        with pytest.raises(ValueError) as exc:
+            next(cassini_sources(n))
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("n", range(3, 11))
     def test_every_image_is_a_valid_short_board_tiling(self, n):
         for t in enumerate_tilings(n):
@@ -497,6 +516,38 @@ class TestAuditFaults:
             assert not audit.structure_ok
             assert not audit.balanced
             assert audit.failure.startswith("coverage: copy 1 "), audit.failure
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_a_lost_source_exception_fails_the_parity_check(
+        self, monkeypatch, capsys, n
+    ):
+        # the all-bifence n-board tiling dropped from the sources' walk: every
+        # copy still holds its targets, so only the exception count sees it.
+        # On an odd board the exceptions are targets, and dropping the
+        # all-bifence (n-1)-board target trips coverage first (checked below)
+        real = bijection._blocks
+
+        def blocks(board):
+            for prefix, tails in real(board):
+                if board == n and "h" not in "".join(prefix):
+                    tails = tuple(t for t in tails if "h" in "".join(t))
+                yield prefix, tails
+
+        monkeypatch.setattr(bijection, "_blocks", blocks)
+        audit = cassini_audit(n)
+        assert not audit.structure_ok
+        assert not audit.balanced
+        assert audit.failure == (
+            "exceptions: 1 on the source side and 0 on the target side, "
+            "expected 2 and 0"
+        )
+        assert main(["bijection", "--n", str(n), "--audit"]) == 1
+        out, err = capsys.readouterr()
+        assert out.endswith("UNBALANCED\n")
+        assert err == audit.failure + "\n"
+
+        audit = cassini_audit(n + 1)  # drops the target of the (n+1)-audit
+        assert audit.failure.startswith("coverage: copy 1 "), audit.failure
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_invalid_image_fails(self, monkeypatch, capsys, n):

@@ -133,6 +133,44 @@ class TestEnumerate:
         assert len(validate(line).encoding) // 2 == 2000
 
     @pytest.mark.parametrize(
+        "name", ["none", "no-free-bifence", "no-bifence", "odd-metatiles"]
+    )
+    def test_n_beyond_the_cap_is_usage_error(self, capsys, name):
+        # the walk keeps a frame per metatile, and under a filter its first
+        # tiling is cubic in n: an unbounded n would run out of memory or time
+        if name == "none":
+            what, cap = "enumerate", 1000000
+        else:
+            what, cap = f"enumerate --filter {name}", 2000
+        for n in (cap + 1, 10**11):
+            start = time.perf_counter()
+            status, out, err = run(
+                capsys, "enumerate", "--n", str(n), "--filter", name, "--limit", "1"
+            )
+            assert time.perf_counter() - start < 1.0
+            assert (status, out) == (2, "")
+            assert err == f"error: {what}: n must be at most {cap}, got {n}\n"
+
+    def test_the_caps_themselves_are_enumerated(self, capsys, monkeypatch):
+        monkeypatch.setattr(sequences, "MAX_COUNT_N", 2)
+        monkeypatch.setattr(sequences, "MAX_FILTERED_N", 3)
+        assert run(capsys, "enumerate", "--n", "2", "--limit", "1")[:2] == (0, "LLRR\n")
+        assert run(capsys, "enumerate", "--n", "3", "--limit", "1")[:2] == (2, "")
+        filtered = ("--filter", "no-bifence", "--limit", "1")
+        assert run(capsys, "enumerate", "--n", "3", *filtered)[:2] == (0, "LhRLhR\n")
+        assert run(capsys, "enumerate", "--n", "4", *filtered)[:2] == (2, "")
+
+    def test_a_filtered_board_at_the_cap_is_enumerated(self, capsys):
+        n = sequences.MAX_FILTERED_N
+        status, out, err = run(
+            capsys, "enumerate", "--n", str(n), "--filter", "no-bifence", "--limit", "1"
+        )
+        assert (status, err) == (0, "")
+        tiling = validate(out.rstrip("\n"))
+        assert len(tiling.encoding) == 2 * n
+        assert all(map(sequences.RESTRICTIONS["no-bifence"].allowed, tiling.pieces))
+
+    @pytest.mark.parametrize(
         "name, first",
         [
             ("none", "LLRR" * 15),
@@ -277,6 +315,21 @@ class TestBijection:
             "hhhh -> copy 1 hh",
             "(empty) -> all-bifence-source",
         ]
+
+    @pytest.mark.parametrize("n", [sequences.MAX_COUNT_N + 1, 10**11])
+    def test_listing_beyond_the_cap_is_usage_error(self, capsys, n):
+        # the listing walks an n-board with a frame per metatile
+        start = time.perf_counter()
+        status, out, err = run(capsys, "bijection", "--n", str(n))
+        assert time.perf_counter() - start < 1.0
+        assert (status, out) == (2, "")
+        assert err == f"error: bijection: n must be at most 1000000, got {n}\n"
+
+    def test_the_listing_cap_itself_is_listed(self, capsys, monkeypatch):
+        monkeypatch.setattr(sequences, "MAX_COUNT_N", 2)
+        status, out, _ = run(capsys, "bijection", "--n", "2")
+        assert (status, out.splitlines()[0]) == (0, "LLRR -> all-bifence-source")
+        assert run(capsys, "bijection", "--n", "3")[:2] == (2, "")
 
     def test_audit_balanced(self, capsys):
         status, out, err = run(capsys, "bijection", "--n", "5", "--audit")

@@ -389,8 +389,9 @@ class TestLastMetatileCoefficients:
 
 
 class TestScanMemo:
-    """_scan asks the restriction about each distinct piece once and keeps
-    the answer; the bins are those _predicted expects."""
+    """_scan asks the restriction only about pieces the walk placed (it
+    keeps no answers: each tail set is censused once, so a memo of them
+    would not pay); the bins are those _predicted expects."""
 
     @pytest.mark.parametrize("ident", COMBINATORIAL)
     def test_each_piece_is_decided_once(self, ident):
@@ -402,7 +403,6 @@ class TestScanMemo:
             return restriction.allowed(piece)
 
         observed, scanned, ordered = identities._scan(core._blocks(10), allowed)
-        assert calls and max(calls.values()) == 1
         pieces = {p for tiling in core._walk(10) for p in tiling}
         assert set(calls) <= pieces
         a = A.values(10)
