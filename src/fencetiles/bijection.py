@@ -5,12 +5,13 @@ copies of the (n-1)-board tilings, exactly up to two all-bifence tilings
 whose side depends on the parity of n.
 
 All rewrites are splices of the encoding (tiles to the right of the site
-translate by two half-cells).  One placement rule, _place, sends an n-board
-encoding to its copy and image encoding.  The public maps re-validate every
-image they return, so an invalid rewrite can never slip through as a
-malformed encoding; the audit stays on encodings and checks each image
-against the whole-tiling grammar pattern instead, so an invalid image fails
-it rather than raising.
+translate by two half-cells).  The placement rules, _place for an n-board
+source and _companion for an (n-2)-board one, give its copy and image
+encoding; b_map and b_inverse are the second-copy and companion rules,
+re-validated as every image the public maps return is, so an invalid
+rewrite can never slip through as a malformed encoding.  The audit stays on
+encodings and checks each image against the whole-tiling grammar pattern
+instead, so an invalid image fails it rather than raising.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _contract_at_h(enc: str, p: int) -> str:
     Captured h: the filled fence around it collapses to a single h.
     Free h: the bifence immediately to its right merges with it into a
     filled fence.  Either way everything further right closes up by two
-    half-cells.  Shared by b_map, _place and _preimage.
+    half-cells.  Shared by _place and _preimage.
     """
     if p >= 1 and enc[p - 1] == "L":
         return enc[: p - 1] + "h" + enc[p + 2 :]
@@ -92,25 +93,23 @@ def _expand_at_h(enc: str, q: int) -> str:
 
 def b_map(t: Tiling) -> Tiling:
     """Map an n-board tiling ending in a fence (and containing an h) to an
-    (n-1)-board tiling containing an h.
-
-    Contract at the rightmost h (see _contract_at_h); when the tiling ends
-    in a filled fence, that h is its gap and the fence becomes an h.
-    """
+    (n-1)-board tiling containing an h by _place's second-copy rule:
+    contract at the rightmost h; when the tiling ends in a filled fence,
+    that h is its gap and the fence becomes an h."""
     enc = t.encoding
     if "h" not in enc:
         raise BijectionDomainError("tiling contains no half-square")
     if enc[-1] != "R":
         raise BijectionDomainError("tiling does not end in a fence")
-    return validate(_contract_at_h(enc, enc.rfind("h")))
+    return validate(_place(enc)[1])
 
 
 def b_inverse(u: Tiling) -> Tiling:
-    """Exact inverse of b_map, from (n-1)-board tilings containing an h."""
+    """Exact inverse of b_map on (n-1)-board tilings with an h: _companion's rule."""
     enc = u.encoding
     if "h" not in enc:
         raise BijectionDomainError("all-bifence tiling has no preimage")
-    return validate(_expand_at_h(enc, enc.rfind("h")))
+    return validate(_companion(enc)[1])
 
 
 def _place(enc: str) -> tuple[TargetCopy, str] | None:
@@ -118,9 +117,9 @@ def _place(enc: str) -> tuple[TargetCopy, str] | None:
     the all-bifence tiling, which fits nowhere.
 
     Ends in two h's on the last cell: strip them (first copy).  Ends in a
-    fence: contract at the rightmost h, as b_map does (second copy).  Ends
-    in a lone free h: contract at the second-rightmost h, keeping the final
-    h (third copy).  The image is not checked.
+    fence: contract at the rightmost h (second copy, b_map's rule).  Ends in
+    a lone free h: contract at the second-rightmost h, keeping the final h
+    (third copy).  The image is not checked.
     """
     if "h" not in enc:
         return None
@@ -158,8 +157,8 @@ def cassini_partition(t: Tiling) -> CassiniImage:
 
 def _companion(enc: str) -> tuple[TargetCopy, str] | None:
     """The copy and image encoding of the (n-2)-board companion enc: the
-    third copy through b_inverse's rewrite, or None for the all-bifence
-    tiling.  The image is not checked."""
+    third copy through _expand_at_h at the rightmost h (b_inverse), or None
+    for the all-bifence tiling.  The image is not checked."""
     p = enc.rfind("h")
     return (TargetCopy.THIRD, _expand_at_h(enc, p)) if p >= 0 else None
 
@@ -221,16 +220,8 @@ class CassiniAudit(_Frozen):
             failure=failure,
         )
 
-    def _compared(self) -> tuple:  # every field but failure
-        return (
-            self.n,
-            self.lhs,
-            self.rhs,
-            self.balanced,
-            self.exception_side,
-            self.exception_count,
-            self.structure_ok,
-        )
+    def _compared(self) -> tuple:  # every field but failure, stored last
+        return tuple(self.__dict__.values())[:-1]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -245,20 +236,18 @@ class CassiniAudit(_Frozen):
         return f"{type(self).__qualname__}({fields})"
 
 
-def _fault(
-    enc: str, placement: tuple[TargetCopy, str] | None, size: int | None = None
-) -> str | None:
+def _fault(enc: str, placement: tuple[TargetCopy, str] | None, size: int) -> str | None:
     """The audit's checks of one source encoding and its placement: None
     when they pass, else the first failing check with the source.  A source
-    holding an h must fit a copy.  Its image must be size long when size is
-    given, hold an h where the copy needs one and match the whole-tiling
-    grammar core._TILING, checked before _preimage reads it, which must
-    give the source back."""
+    holding an h must fit a copy.  Its image must be size long, hold an h
+    where the copy needs one and match the whole-tiling grammar
+    core._TILING, checked before _preimage reads it, which must give the
+    source back."""
     if placement is None:
         return f"exceptions: {enc} holds an h but fits no copy" if "h" in enc else None
     copy, e = placement
     if (
-        (size is not None and len(e) != size)
+        len(e) != size
         or (copy is not TargetCopy.FIRST and "h" not in e)
         or _TILING.fullmatch(e) is None
     ):
@@ -269,16 +258,19 @@ def _fault(
     return None
 
 
-def _census(place, tails: tuple[tuple[str, ...], ...]) -> tuple:
+def _slot(placement: tuple[TargetCopy, str] | None) -> int:
+    """A placement's tally slot: copies 1-3 at 0-2, a source exception at 3."""
+    return 3 if placement is None else placement[0].value - 1
+
+
+def _census(place, grow: int, tails: tuple[tuple[str, ...], ...]) -> tuple:
     """Place each tail of one tail set of core._blocks on its own, by place
-    (_place or _companion).  Returns, over the tails holding an h, the
-    images per copy and the source exceptions; the tails holding no h,
-    which the audit places whole; and what _block_fault checks: each image
-    length with the first tail and placement giving it, the first tail with
-    its placement and the first that fails _fault with its placement (None
-    when all pass)."""
-    counts = [0, 0, 0, 0]  # copies 1-3, source exceptions
-    widths: dict[int, tuple] = {}
+    (_place or _companion), whose images must be grow half-cells longer than
+    their sources.  Returns, over the tails holding an h, the images per
+    copy and the source exceptions; the tails holding no h, which the audit
+    places whole; and what _block_fault checks: the first tail and the
+    first that fails _fault, each with its placement (None when none)."""
+    counts = [0, 0, 0, 0]  # by _slot
     free: list[str] = []
     first = bad = None
     for t in tails:
@@ -289,14 +281,10 @@ def _census(place, tails: tuple[tuple[str, ...], ...]) -> tuple:
         placement = place(tail)
         if first is None:
             first = tail, placement
-        if placement is None:
-            counts[3] += 1
-        else:
-            counts[placement[0].value - 1] += 1
-            widths.setdefault(len(placement[1]), (tail, placement))
-        if bad is None and _fault(tail, placement) is not None:
+        counts[_slot(placement)] += 1
+        if bad is None and _fault(tail, placement, len(tail) + grow) is not None:
             bad = tail, placement
-    return counts, free, (widths, first, bad)
+    return counts, free, (first, bad)
 
 
 def _shifted(
@@ -310,18 +298,15 @@ def _shifted(
 def _block_fault(head: str, checks: tuple, place, size: int) -> str | None:
     """The audit's checks of the block head + tails from the census of its
     tails: None when they pass, else the first failing check.  Its tails
-    hold no fault, its images are size long, and its first tiling whose tail
-    holds an h, placed whole, gets head + the census image.  A census fault
-    is named on the whole tiling; one that passes whole breaks locality."""
-    widths, first, bad = checks
+    hold no fault, and its first tiling whose tail holds an h, placed whole,
+    gets head + the census image.  A census fault is named on the whole
+    tiling (images size long); one that passes whole breaks locality."""
+    first, bad = checks
     if bad is not None:
         source = head + bad[0]
         return _fault(source, _shifted(head, bad[1]), size) or (
             f"locality: {source} fails by its tail alone, not whole"
         )
-    for width, (tail, placement) in widths.items():
-        if len(head) + width != size:
-            return _fault(head + tail, _shifted(head, placement), size)
     if first is not None:
         source = head + first[0]
         if place(source) != _shifted(head, first[1]):
@@ -365,10 +350,10 @@ def cassini_audit(n: int) -> CassiniAudit:
         h_targets += count if "h" in head else with_h
 
     size = 2 * n - 2
-    tally = [0, 0, 0, 0]  # images in copies 1-3, source exceptions
+    tally = [0, 0, 0, 0]  # by _slot
     failure: str | None = None
     for place, board in ((_place, n), (_companion, n - 2)):
-        census = partial(_census, place)
+        census = partial(_census, place, size - 2 * board)
         for _, head, (counts, free, checks) in _censused(_blocks(board), census):
             for k, count in enumerate(counts):
                 tally[k] += count
@@ -377,7 +362,7 @@ def cassini_audit(n: int) -> CassiniAudit:
             for tail in free:  # holding no h: placed whole
                 source = head + tail
                 placement = place(source)
-                tally[3 if placement is None else placement[0].value - 1] += 1
+                tally[_slot(placement)] += 1
                 if failure is None:
                     failure = _fault(source, placement, size)
 

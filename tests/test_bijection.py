@@ -94,6 +94,17 @@ class TestBInverse:
         with pytest.raises(BijectionDomainError):
             b_inverse(validate("LLRR"))
 
+    @pytest.mark.parametrize("n", range(11))
+    def test_b_and_its_inverse_are_the_placement_rules(self, n):
+        # B is _place's second-copy rule and B^-1 _companion's rule, validated
+        for t in enumerate_tilings(n):
+            enc = t.encoding
+            if "h" not in enc:
+                continue
+            if enc.endswith("R"):
+                assert b_map(t) == validate(bijection._place(enc)[1])
+            assert b_inverse(t) == validate(bijection._companion(enc)[1])
+
 
 class TestCassiniPartition:
     def test_first_copy_strips_trailing_h_pair(self):
@@ -372,17 +383,18 @@ class TestAuditFaults:
     where the block audit reads a source (victims)."""
 
     @staticmethod
-    def victims(n, copy):
-        """Sources _place puts in copy, by the way the block audit reads
-        them.  "tail": tails of the walk's longest tail set, each placed
-        alone in the set's census.  "first": whole tilings, each the first
-        of a block with a prefix whose tail holds an h, placed whole as the
-        block's cross-check.  "h-free": whole tilings whose tail holds no
-        h, placed whole."""
+    def victims(n, copy, rule="_place"):
+        """Sources rule (_place or _companion) puts in copy, by the way the
+        block audit reads them.  "tail": tails of the walk's longest tail
+        set, each placed alone in the set's census.  "first": whole tilings,
+        each the first of a block with a prefix whose tail holds an h,
+        placed whole as the block's cross-check.  "h-free": whole tilings
+        whose tail holds no h, placed whole."""
+        place = getattr(bijection, rule)
         found = {"tail": [], "first": [], "h-free": []}
         blocks = list(core._blocks(n))
         for tail in map("".join, max((tails for _, tails in blocks), key=len)):
-            if "h" in tail and bijection._place(tail)[0] is copy:
+            if "h" in tail and place(tail)[0] is copy:
                 found["tail"].append(tail)
         for prefix, tails in blocks:
             head = "".join(prefix)
@@ -391,7 +403,7 @@ class TestAuditFaults:
             free = [e for e in encodings if "h" not in e[len(head) :]]
             for kind, sources in (("first", firsts if head else []), ("h-free", free)):
                 for enc in sources:
-                    placed = bijection._place(enc)
+                    placed = place(enc)
                     if placed is not None and placed[0] is copy:
                         found[kind].append(enc)
         return found
@@ -403,17 +415,17 @@ class TestAuditFaults:
         return [enc for enc, placed in placements if placed and placed[0] is copy]
 
     @staticmethod
-    def fails(monkeypatch, n, victim, rewrite, check):
-        """Audit n with _place(victim) rewritten; the audit must fail at
-        check, naming victim."""
-        real = bijection._place
+    def fails(monkeypatch, n, victim, rewrite, check, rule="_place"):
+        """Audit n with rule(victim) rewritten, rule being _place or
+        _companion; the audit must fail at check, naming victim."""
+        real = getattr(bijection, rule)
 
         def place(enc):
             placed = real(enc)
             return rewrite(placed) if enc == victim else placed
 
         with monkeypatch.context() as m:
-            m.setattr(bijection, "_place", place)
+            m.setattr(bijection, rule, place)
             audit = cassini_audit(n)
         assert not audit.structure_ok
         assert not audit.balanced
@@ -473,20 +485,48 @@ class TestAuditFaults:
             for victim in victims[kind][:1]:
                 self.fails(monkeypatch, n, victim, lambda placed: None, check)
 
-    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("n", [6, 7, 8])
     def test_an_image_of_the_wrong_length_fails(self, monkeypatch, n):
         # a third-copy tail sent through b_inverse's rewrite, as a companion
         # is: a tiling two cells too long that _preimage reads back through
-        # b_map, so only the length check sees it
-        victim = self.victims(n, TargetCopy.THIRD)["tail"][0]
-        image = bijection._expand_at_h(victim, victim.rfind("h"))
-        self.fails(
-            monkeypatch,
-            n,
-            victim,
-            lambda placed: (TargetCopy.THIRD, image),
-            "image grammar",
-        )
+        # b_map, so only the length check sees it.  So too for each source
+        # whose tail holds no h, placed whole (none at n = 6)
+        victims = self.victims(n, TargetCopy.THIRD)
+        assert bool(victims["h-free"]) == (n > 6)
+        for victim in victims["tail"][:1] + victims["h-free"]:
+            image = bijection._expand_at_h(victim, victim.rfind("h"))
+            self.fails(
+                monkeypatch,
+                n,
+                victim,
+                lambda placed: (TargetCopy.THIRD, image),
+                "image grammar",
+            )
+
+    @pytest.mark.parametrize("n", [6, 7, 9])
+    def test_a_companion_placed_wrong_fails(self, monkeypatch, n):
+        # the companions, (n-2)-board sources, all go to the third copy; a
+        # "first" one is still placed right alone, so only the block's
+        # cross-check sees it
+        victims = self.victims(n - 2, TargetCopy.THIRD, "_companion")
+        assert victims["tail"] and all(victims.values()) == (n == 9)
+        for kind, found in victims.items():
+            for victim in found[:1]:
+                other = next(
+                    u.encoding
+                    for u in enumerate_tilings(len(victim) // 2)
+                    if "h" in u.encoding and u.encoding != victim
+                )
+                for rewrite, check in (
+                    # its image is another companion's
+                    (lambda placed: bijection._companion(other), "preimage"),
+                    (lambda placed: None, "exceptions"),
+                    # placed by _place: an image two cells shorter, which
+                    # _preimage reads back, so only the length check sees it
+                    (lambda placed: bijection._place(victim), "image grammar"),
+                ):
+                    check = "locality" if kind == "first" else check
+                    self.fails(monkeypatch, n, victim, rewrite, check, "_companion")
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_one_source_walked_twice(self, monkeypatch, n):
