@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--identity",
         required=True,
-        choices=[str(i) for i in range(1, 8)] + ["all"],
+        choices=[*map(str, identities._IDENTITIES), "all"],
     )
     p.add_argument("--max-n", required=True, type=int)
     p.add_argument("--combinatorial", action="store_true")
@@ -175,10 +175,7 @@ def main(argv=None) -> int:
         status = args.func(args)
         sys.stdout.flush()
         return status
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             # the reader has gone: send what is still buffered to devnull, so
             # that the flush at interpreter exit raises nothing

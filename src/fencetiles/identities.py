@@ -151,13 +151,17 @@ def _identity_3_rows(n_max: int) -> list[IdentityRow]:
 def _convolution_rows(n_max, table, weights, sq) -> list[IdentityRow]:
     """Rows of F_{n+1}^2 = X_n + sum_{k=2..n} weights[k] X_{n-k}, with X the
     values of `table` and sq[i] = F_i^2: the last piece X forbids ends on
-    cell k, and weights[k] counts the coverings of cells 1..k ending in it."""
-    x = table.values(n_max)
-    rows = []
+    cell k, and weights[k] counts the coverings of cells 1..k ending in it.
+    The rhs y = u * X, u = (1, 0, weights[2], ...), runs on X's recurrence
+    c_1..c_d: Q X = P with Q = 1 - sum c_i x^i and deg P < d, so Q y = u * P
+    (Stanley, Enumerative Combinatorics vol. 1, ch. 4), a few products a row."""
+    c, x = table._coefficients, table._initial
+    p = [x[j] - sum(c[i] * x[j - 1 - i] for i in range(j)) for j in range(len(c))]
+    u, y = [1, 0, *weights[2 : n_max + 1]], []
     for n in range(n_max + 1):
-        rhs = x[n] + sum(weights[k] * x[n - k] for k in range(2, n + 1))
-        rows.append(IdentityRow(n, sq[n + 1], rhs))
-    return rows
+        up = sum(pj * u[n - j] for j, pj in enumerate(p[: n + 1]))  # (u * P)_n
+        y.append(sum(ci * yi for ci, yi in zip(c, reversed(y))) + up)
+    return [IdentityRow(n, sq[n + 1], rhs) for n, rhs in enumerate(y)]
 
 
 def _identity_4_rows(n_max: int) -> list[IdentityRow]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 
-from .core import metatile_encodings
+from .core import _check_length, metatile_encodings
 
 
 class SequenceTable:
@@ -196,8 +196,7 @@ def count_halfsquare_square(n: int) -> int:
     Deliberately an enumeration oracle, not a recurrence; it must come out
     equal to fib(2n+1).  Boards longer than MAX_HSQ_N are rejected.
     """
-    if n < 0:
-        raise ValueError("board length must be non-negative")
+    _check_length(n)
     if n > MAX_HSQ_N:
         raise ValueError(
             f"the hsq oracle is exponential; n must be at most {MAX_HSQ_N}, got {n}"

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fencetiles import bijection, identities, sequences
+from fencetiles import bijection, cli, identities, sequences
 from fencetiles.cli import main
 from fencetiles.core import validate
 from fencetiles.sequences import count_A
@@ -428,6 +429,34 @@ options:
         status, out, _ = run(capsys, "--help")
         assert status == 0
         assert "usage" in out
+
+    def test_a_key_error_in_a_subcommand_propagates(self, monkeypatch):
+        # no parsed input reaches a KeyError, so one is a fault, not a usage
+        # error: it is not turned into exit 2
+        def fault(args):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "_cmd_decompose", fault)
+        with pytest.raises(KeyError, match="x"):
+            main(["decompose", "h"])
+
+    def test_verify_identity_choices_are_the_identities(self, capsys, monkeypatch):
+        def identity_choices():
+            parser = cli.build_parser()
+            subparsers = next(
+                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            )
+            verify = subparsers.choices["verify"]
+            return next(a for a in verify._actions if a.dest == "identity").choices
+
+        assert identity_choices() == [*map(str, identities._IDENTITIES), "all"]
+        assert identity_choices() == ["1", "2", "3", "4", "5", "6", "7", "all"]
+        fewer = {i: identities._IDENTITIES[i] for i in (2, 7)}
+        monkeypatch.setattr(identities, "_IDENTITIES", fewer)
+        assert identity_choices() == ["2", "7", "all"]
+        status, _, err = run(capsys, "verify", "--identity", "4", "--max-n", "3")
+        assert status == 2
+        assert "invalid choice: '4'" in err
 
 
 class TestImport:

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from fencetiles import bijection, core
+from fencetiles import bijection, core, sequences
 from fencetiles.core import (
     ALPHABET,
     InvalidTilingError,
@@ -621,8 +621,10 @@ class TestStructuralInvariants:
         lambda: list(enumerate_tilings(-1)),
         lambda: list(bijection.cassini_sources(-1)),
         lambda: Tiling.from_placements(-1, ()),
+        lambda: sequences.count_halfsquare_square(-1),
     ],
-    ids=["enumerate_tilings", "cassini_sources", "from_placements"],
+    ids=["enumerate_tilings", "cassini_sources", "from_placements",
+         "count_halfsquare_square"],
 )
 def test_a_negative_board_length_has_one_message(build):
     with pytest.raises(ValueError, match="must be non-negative, got -1"):

@@ -12,7 +12,7 @@ from fencetiles.core import (
     metatile_encodings,
 )
 from fencetiles.identities import COMBINATORIAL, Mode, verify, verify_all
-from fencetiles.sequences import A, count_C, count_S, count_T, fib
+from fencetiles.sequences import TABLES, A, count_C, count_S, count_T, fib
 
 
 def row_for(report, n):
@@ -182,6 +182,38 @@ class TestNumericOracle:
             assert [(r.n, r.lhs, r.rhs, r.passed) for r in rows] == nested_sum_rows(
                 ident, n_max
             )
+
+
+def per_row_convolution(n_max, table, weights, sq):
+    """identities._convolution_rows with each rhs X_n + sum_{k>=2} weights[k]
+    X_{n-k} summed afresh: the reference for the rows its recurrence builds."""
+    x = table.values(n_max)
+    return [
+        identities.IdentityRow(
+            n, sq[n + 1], x[n] + sum(weights[k] * x[n - k] for k in range(2, n + 1))
+        )
+        for n in range(n_max + 1)
+    ]
+
+
+class TestConvolutionRecurrence:
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 60, 300])
+    @pytest.mark.parametrize("ident", [4, 5, 6])
+    def test_rows_equal_the_per_row_sums(self, monkeypatch, ident, n_max):
+        rows = verify(ident, n_max).rows
+        monkeypatch.setattr(identities, "_convolution_rows", per_row_convolution)
+        assert rows == verify(ident, n_max).rows
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_any_table_and_weights_equal_the_per_row_sums(self, name):
+        # every order and sign of coefficient the tables have, and weights
+        # of both signs, with nonzero w_0 and w_1 that the rule must ignore
+        weights = [(-1) ** k * (k**3 + 7) for k in range(41)]
+        sq = list(range(42))
+        for n_max in (0, 1, 2, 3, 40):
+            assert identities._convolution_rows(
+                n_max, TABLES[name], weights, sq
+            ) == per_row_convolution(n_max, TABLES[name], weights, sq)
 
 
 class TestCombinatorialModes:
