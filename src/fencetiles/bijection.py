@@ -315,7 +315,7 @@ def _block_fault(head: str, checks: tuple, place, size: int) -> str | None:
 
 
 def cassini_audit(n: int) -> CassiniAudit:
-    """Exhaustively audit the near-bijection at board length n >= 3.
+    """Exhaustively audit the near-bijection at board length n >= 1.
 
     The sources are read by block from core._blocks: the n-board tilings,
     placed by _place, then the (n-2)-board companions, placed by
@@ -338,8 +338,8 @@ def cassini_audit(n: int) -> CassiniAudit:
     that fails.  Memory is O(n) plus the walk's memo and one census per
     tail set.
     """
-    if n < 3:
-        raise ValueError("audit needs n >= 3")
+    if n < 1:
+        raise ValueError("audit needs n >= 1")
 
     def holding_h(tails):  # the target census: size, and tails holding an h
         return len(tails), sum("h" in "".join(t) for t in tails)
@@ -353,6 +353,8 @@ def cassini_audit(n: int) -> CassiniAudit:
     tally = [0, 0, 0, 0]  # by _slot
     failure: str | None = None
     for place, board in ((_place, n), (_companion, n - 2)):
+        if board < 0:  # n = 1: the (-1)-board has no companion to place
+            continue
         census = partial(_census, place, size - 2 * board)
         for _, head, (counts, free, checks) in _censused(_blocks(board), census):
             for k, count in enumerate(counts):

@@ -62,13 +62,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.identity == "all":
-        reports = identities.verify_all(args.max_n, args.combinatorial)
-    else:
-        ident = int(args.identity)
-        reports = [identities.verify(ident, args.max_n)]
-        if args.combinatorial and ident in identities.COMBINATORIAL:
-            reports.append(identities.verify(ident, args.max_n, combinatorial=True))
+    ids = identities._IDENTITIES if args.identity == "all" else [int(args.identity)]
+    modes = (False, True) if args.combinatorial else (False,)
+    reports = [identities.verify(i, args.max_n, c) for c in modes for i in ids]
     ok = True
     for report in reports:
         print(report.table())

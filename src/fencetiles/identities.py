@@ -1,16 +1,17 @@
 """Machine checks of the Fibonacci-squared identities.
 
-Each identity is one record of data.  It has a numeric mode (exact integer
-evaluation of both sides) and, where the proof is a conditioning argument
-over tilings, a combinatorial mode.  Identities 2-6 share one proof:
-condition on the last metatile a restriction forbids.  One scan reads the
-board by block through core._censused, the block driver it shares with
-the Cassini audit, bins every tiling by the end cell and encoding of that
-metatile, and checks every bin against its predicted count, not just the
-totals.
+Each identity is one record of data with two modes: numeric (exact integer
+evaluation of both sides) and combinatorial (counting tilings).  Identities
+1-6 share one proof: condition on the last metatile a restriction forbids
+(identity 1 forbids them all).  One scan reads the board by block through
+core._censused, the block driver it shares with the Cassini audit, bins
+every tiling by the end cell and encoding of that metatile, and checks
+every bin against its predicted count, not just the totals.  Identity 7's
+proof is the Cassini near-bijection, so its combinatorial row is
+bijection.cassini_audit.
 
-Combinatorial mode is exhaustive, so it only runs where the enumerated
-board is short enough (MAX_ORACLE_BOARD cells).
+Combinatorial mode is exhaustive, so its rows stop at the first n whose
+board is longer than MAX_ORACLE_BOARD cells.
 """
 
 from __future__ import annotations
@@ -18,17 +19,15 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, takewhile
 
+from .bijection import cassini_audit
 from .core import _blocks, _censused, metatile_encodings
 from .sequences import A, C, FIB, RESTRICTIONS, S, T, Restriction, decimal, sum_form
 
-#: Longest board the combinatorial (exhaustive enumeration) mode will scan.
+#: Longest board the combinatorial (exhaustive enumeration) mode will scan:
+#: its rows stop at the first n whose board is longer, whatever n_max asks.
 MAX_ORACLE_BOARD = 14
-
-#: Largest n combinatorial mode checks (identities 2-6); rows above it are
-#: left out whatever n_max asks, so this is a hard cap, not a default.
-DEFAULT_ORACLE_N = 12
 
 #: Largest n_max numeric mode checks: its rows hold every F_i^2 up to
 #: about i = 2 n_max, so memory and table text grow as n_max^2.
@@ -103,16 +102,15 @@ def _squares(n_max: int) -> tuple[list[int], list[int]]:
     return sq, list(accumulate(sq, initial=0))
 
 
-class _Identity(
-    namedtuple("_Identity", "n_min numeric board restriction", defaults=(None, None))
-):
-    """An identity as data: the least n it holds for, and numeric(n_max),
-    its rows for n = n_min..n_max.
+class _Identity(namedtuple("_Identity", "n_min numeric board restriction")):
+    """An identity as data: the least n it holds for, numeric(n_max), its
+    rows for n = n_min..n_max, and board(n), the cells combinatorial mode
+    enumerates for row n.
 
-    Where the proof conditions on the last metatile a restriction forbids,
-    combinatorial mode enumerates board(n) cells, bins its tilings by that
-    metatile (_scan) and checks the bins against _predicted; board and
-    restriction are None for the identities without that mode.
+    Combinatorial mode bins the tilings of board(n) by the last metatile
+    the restriction forbids (_scan) and checks the bins against _predicted;
+    restriction is None for identity 7, whose row is the Cassini audit of
+    board(n) = n.
     """
 
     __slots__ = ()
@@ -198,7 +196,7 @@ def _identity_7_rows(n_max: int) -> list[IdentityRow]:
     """F_{n+1}^2 = 3 F_n^2 - F_{n-1}^2 + 2 (-1)^n.
 
     Its combinatorial proof is the Cassini near-bijection, which
-    bijection.cassini_audit checks exhaustively.
+    bijection.cassini_audit checks exhaustively, one row per audit.
     """
     sq, _ = _squares(n_max + 1)
     return [
@@ -207,14 +205,16 @@ def _identity_7_rows(n_max: int) -> list[IdentityRow]:
     ]
 
 
-def _only(piece: str) -> Restriction:
-    """The restriction that admits the one metatile piece alone, with the
-    table sum_form derives for it."""
-    return Restriction(sum_form(piece.__eq__), piece.__eq__)
+def _only(*pieces: str) -> Restriction:
+    """The restriction that admits exactly the given metatile pieces, with
+    the table sum_form derives for it."""
+    admits = frozenset(pieces).__contains__
+    return Restriction(sum_form(admits), admits)
 
 
 _IDENTITIES = {
-    1: _Identity(2, _identity_1_rows),
+    # the last metatile, ending on the last cell; X = 1, 0, 0, ...
+    1: _Identity(2, _identity_1_rows, lambda n: n - 1, _only()),
     # the last fence lies in the last metatile other than hh; X = 1
     2: _Identity(0, _identity_2_rows, lambda n: n + 2, _only("hh")),
     # the last half-square lies in the last metatile other than a free
@@ -224,13 +224,9 @@ _IDENTITIES = {
     4: _Identity(0, _identity_4_rows, lambda n: n, RESTRICTIONS["no-free-bifence"]),
     5: _Identity(0, _identity_5_rows, lambda n: n, RESTRICTIONS["no-bifence"]),
     6: _Identity(0, _identity_6_rows, lambda n: n, RESTRICTIONS["odd-metatiles"]),
-    7: _Identity(1, _identity_7_rows),
+    # the Cassini near-bijection
+    7: _Identity(1, _identity_7_rows, lambda n: n, None),
 }
-
-#: The identities with a combinatorial mode.
-COMBINATORIAL = tuple(
-    i for i, ident in _IDENTITIES.items() if ident.restriction is not None
-)
 
 
 def _predicted(restriction: Restriction, board: int, a: list[int]) -> tuple[dict, int]:
@@ -322,9 +318,13 @@ def _scan(
 def _combinatorial_row(ident: _Identity, n: int) -> IdentityRow:
     """Bin every tiling of board(n).  The row passes when every tiling was
     scanned once, every bin holds its predicted count, no other bin occurs,
-    and the bins hold the predicted total.
+    and the bins hold the predicted total.  With no restriction (identity
+    7) the row is the audit's two sides, passing when its structure holds.
     """
     board = ident.board(n)
+    if ident.restriction is None:
+        audit = cassini_audit(board)
+        return IdentityRow(n, audit.lhs, audit.rhs, audit.structure_ok)
     a = A.values(board)
     expected, relevant = _predicted(ident.restriction, board, a)
     observed, scanned, ordered = _scan(_blocks(board), ident.restriction.allowed)
@@ -338,11 +338,9 @@ def _combinatorial_row(ident: _Identity, n: int) -> IdentityRow:
 def verify(
     identity_id: int, n_max: int, combinatorial: bool = False
 ) -> IdentityReport:
-    """Check one identity for n = n_min..n_max.
-
-    Combinatorial mode applies to the identities in COMBINATORIAL, up to
-    n = DEFAULT_ORACLE_N and boards of MAX_ORACLE_BOARD cells; any other
-    call checks numerically, up to n_max = MAX_NUMERIC_N.
+    """Check one identity for n = n_min..n_max: numerically, up to n_max =
+    MAX_NUMERIC_N, or combinatorially, for as long as board(n) is at most
+    MAX_ORACLE_BOARD cells.
     """
     ident = _IDENTITIES.get(identity_id)
     if ident is None:
@@ -350,12 +348,14 @@ def verify(
         raise ValueError(f"unknown identity {identity_id!r}, expected one of {choices}")
     if n_max < ident.n_min:
         raise ValueError(f"identity {identity_id} needs n_max >= {ident.n_min}")
-    if combinatorial and ident.restriction is not None:
+    if combinatorial:
         mode = Mode.COMBINATORIAL
         rows = [
             _combinatorial_row(ident, n)
-            for n in range(ident.n_min, min(n_max, DEFAULT_ORACLE_N) + 1)
-            if ident.board(n) <= MAX_ORACLE_BOARD
+            for n in takewhile(
+                lambda n: ident.board(n) <= MAX_ORACLE_BOARD,
+                range(ident.n_min, n_max + 1),
+            )
         ]
     elif n_max > MAX_NUMERIC_N:
         raise ValueError(
@@ -367,7 +367,6 @@ def verify(
 
 
 def verify_all(n_max: int, combinatorial: bool = False) -> list[IdentityReport]:
-    reports = [verify(i, n_max) for i in _IDENTITIES]
-    if combinatorial:
-        reports.extend(verify(i, n_max, combinatorial=True) for i in COMBINATORIAL)
-    return reports
+    """Every identity numerically, then, if asked, every one combinatorially."""
+    modes = (False, True) if combinatorial else (False,)
+    return [verify(i, n_max, c) for c in modes for i in _IDENTITIES]

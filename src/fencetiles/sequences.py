@@ -136,7 +136,7 @@ def sum_form(allowed: Callable[[str], bool]) -> SequenceTable:
 
     From 3 cells up a metatile is (h | LhR), then bifences, then (h | LhR).
     A predicate that reads only that family and the parity of l, as every
-    one in RESTRICTIONS and the one-metatile ones of identities 2 and 3
+    one in RESTRICTIONS and those of identities 1-3 (no metatile, or one)
     do, has c_l = c_{l-2} for l >= 6, so
     X_m = X_{m-2} + sum_{l<=5} (c_l - c_{l-2}) X_{m-l}: an order-5
     recurrence whose first five terms come from the direct sum.  A

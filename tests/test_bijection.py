@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from fencetiles import bijection, core
+from fencetiles import bijection, core, identities
 from fencetiles.bijection import (
     AllBifenceException,
     BijectionDomainError,
@@ -184,16 +184,32 @@ class TestCassiniAudit:
         audit = cassini_audit(4)
         assert (audit.lhs, audit.rhs) == (25 + 4, 3 * 9 + 2)
 
+    @pytest.mark.parametrize(
+        "n, lhs, side", [(1, 1, "target"), (2, 5, "source")]
+    )
+    def test_smallest_boards_balance(self, n, lhs, side):
+        # n = 1: the one 1-board tiling hh fills the first copy's empty
+        # target, and the 0-board's all-bifence tiling counts twice on the
+        # target side; n = 2: the bifence and the empty companion are left
+        audit = cassini_audit(n)
+        assert (audit.lhs, audit.rhs) == (lhs, lhs)
+        assert (audit.exception_side, audit.exception_count) == (side, 2)
+        assert audit.balanced and audit.structure_ok and audit.failure is None
+        assert audit == set_based_audit(n) == per_source_audit(n)
+
     def test_rejects_too_small_boards(self):
-        with pytest.raises(ValueError):
-            cassini_audit(2)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=r"audit needs n >= 1"):
+                cassini_audit(n)
 
 
 def set_based_audit(n: int) -> CassiniAudit:
     """Reference audit: every target and image encoding held in sets and
-    dicts, coverage checked by set equality."""
-    if n < 3:
-        raise ValueError("audit needs n >= 3")
+    dicts, coverage checked by set equality.  The n-board tilings are placed
+    as cassini_partition places them, but also on the 1-board, which it
+    rejects; at n = 1 there are no companions."""
+    if n < 1:
+        raise ValueError("audit needs n >= 1")
     target_encodings = {t.encoding for t in enumerate_tilings(n - 1)}
     h_targets = {e for e in target_encodings if "h" in e}
 
@@ -203,7 +219,7 @@ def set_based_audit(n: int) -> CassiniAudit:
     n_count = 0
     for t in enumerate_tilings(n):
         n_count += 1
-        ci = cassini_partition(t)
+        ci = bijection._image(bijection._place(t.encoding))
         if ci.exception is not None:
             source_exceptions += 1
             continue
@@ -215,7 +231,7 @@ def set_based_audit(n: int) -> CassiniAudit:
 
     companion: dict[str, str] = {}
     n2_count = 0
-    for u in enumerate_tilings(n - 2):
+    for u in enumerate_tilings(n - 2) if n >= 2 else ():
         n2_count += 1
         if "h" not in u.encoding:
             source_exceptions += 1
@@ -261,9 +277,9 @@ def per_source_audit(n: int) -> CassiniAudit:
     companions go into the third copy through b_inverse's rewrite, and each
     image is checked (length, an h where the copy needs one, the grammar
     pattern, then the left inverse) with the (n-1)-board targets counted
-    one tiling at a time."""
-    if n < 3:
-        raise ValueError("audit needs n >= 3")
+    one tiling at a time.  At n = 1 there are no companions."""
+    if n < 1:
+        raise ValueError("audit needs n >= 1")
     targets = h_targets = 0
     for pieces in core._walk(n - 1):
         targets += 1
@@ -273,7 +289,7 @@ def per_source_audit(n: int) -> CassiniAudit:
         for pieces in core._walk(n):
             enc = "".join(pieces)
             yield enc, bijection._place(enc)
-        for pieces in core._walk(n - 2):
+        for pieces in core._walk(n - 2) if n >= 2 else ():
             enc = "".join(pieces)
             p = enc.rfind("h")
             yield enc, (
@@ -527,6 +543,24 @@ class TestAuditFaults:
                 ):
                     check = "locality" if kind == "first" else check
                     self.fails(monkeypatch, n, victim, rewrite, check, "_companion")
+
+    def test_a_broken_placement_fails_identity_7s_rows(self, monkeypatch):
+        # identity 7's combinatorial row at n is the audit of the n-board
+        victim = self.victims(6, TargetCopy.FIRST)["tail"][0]
+        self.fails(
+            monkeypatch, 6, victim, lambda placed: (TargetCopy.SECOND, placed[1]),
+            "preimage",
+        )
+        real = bijection._place
+
+        def place(enc):
+            placed = real(enc)
+            return (TargetCopy.SECOND, placed[1]) if enc == victim else placed
+
+        monkeypatch.setattr(bijection, "_place", place)
+        report = identities.verify(7, 6, combinatorial=True)
+        assert not report.all_pass
+        assert [r.n for r in report.rows if not r.passed] == [6]
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_one_source_walked_twice(self, monkeypatch, n):

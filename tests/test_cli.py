@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -237,14 +238,35 @@ class TestVerify:
         assert status == 0
         assert "combinatorial" in out
 
+    @pytest.mark.parametrize("ident", ["1", "7"])
+    def test_identities_1_and_7_print_a_combinatorial_block(self, capsys, ident):
+        status, out, _ = run(
+            capsys, "verify", "--identity", ident, "--max-n", "4", "--combinatorial"
+        )
+        assert status == 0
+        headers = [line for line in out.splitlines() if line.startswith("identity")]
+        n_min = identities._IDENTITIES[int(ident)].n_min
+        assert headers == [
+            f"identity {ident} ({mode}), n = {n_min}..4"
+            for mode in ("numeric", "combinatorial")
+        ]
+
     def test_all_combinatorial_output_is_pinned(self, capsys):
-        # the stdout the per-tiling scan printed: 7 numeric and 5
-        # combinatorial reports, every row byte for byte
+        # 7 numeric and 7 combinatorial reports, every row byte for byte;
+        # without the identity 1 and 7 combinatorial blocks it is the stdout
+        # the per-tiling scan printed for identities 2-6
         status, out, _ = run(
             capsys, "verify", "--identity", "all", "--max-n", "12", "--combinatorial"
         )
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
+            "371554985ea5883ca4656001269c15c529469fa5a28200de64ecbe044334721e"
+        )
+        blocks = re.split(r"(?m)^(?=identity |all pass$)", out)
+        new = [b for b in blocks if re.match(r"identity [17] \(combinatorial\)", b)]
+        assert len(new) == 2
+        earlier = "".join(b for b in blocks if b not in new)
+        assert hashlib.sha256(earlier.encode()).hexdigest() == (
             "5dc221af47bc5531193af522dae6a54dcf54eedf1934640a74e71fb6875bc40e"
         )
 
@@ -337,6 +359,23 @@ class TestBijection:
         assert status == 0
         assert "balanced" in out
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "n, line",
+        [
+            ("1", "n=1 lhs=1 rhs=1 exceptions=2 on target side"),
+            ("2", "n=2 lhs=5 rhs=5 exceptions=2 on source side"),
+        ],
+    )
+    def test_audit_of_the_smallest_boards(self, capsys, n, line):
+        status, out, err = run(capsys, "bijection", "--n", n, "--audit")
+        assert (status, out, err) == (0, f"{line}\nbalanced\n", "")
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_audit_below_one_cell_is_usage_error(self, capsys, n):
+        status, out, err = run(capsys, "bijection", "--n", n, "--audit")
+        assert (status, out) == (2, "")
+        assert err == "error: audit needs n >= 1\n"
 
     @pytest.mark.parametrize("n", [bijection.MAX_AUDIT_N + 1, 10**6])
     def test_audit_beyond_the_cap_is_usage_error(self, capsys, n):

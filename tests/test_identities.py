@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, count, takewhile
 
 import pytest
 
@@ -11,8 +11,17 @@ from fencetiles.core import (
     last_positions,
     metatile_encodings,
 )
-from fencetiles.identities import COMBINATORIAL, Mode, verify, verify_all
+from fencetiles.bijection import cassini_audit
+from fencetiles.identities import Mode, verify, verify_all
 from fencetiles.sequences import TABLES, A, count_C, count_S, count_T, fib
+
+#: The identities whose combinatorial rows bin the block scan by a
+#: restriction; identity 7's rows are the Cassini audit.
+SCANNED = (1, 2, 3, 4, 5, 6)
+
+#: The last n each identity checks combinatorially: its board(n) is the
+#: longest of at most MAX_ORACLE_BOARD = 14 cells.
+LAST_COMBINATORIAL_N = {1: 15, 2: 12, 3: 6, 4: 14, 5: 14, 6: 14, 7: 14}
 
 
 def row_for(report, n):
@@ -232,7 +241,7 @@ class TestCombinatorialModes:
         assert row_for(report, 2).lhs == 1  # only LLRR
         assert report.all_pass
 
-    @pytest.mark.parametrize("ident", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("ident", range(1, 8))
     def test_all_pass_within_oracle_range(self, ident):
         report = verify(ident, 10, combinatorial=True)
         assert report.mode is Mode.COMBINATORIAL
@@ -241,6 +250,28 @@ class TestCombinatorialModes:
     def test_identity_3_is_capped_by_board_length(self):
         report = verify(3, 12, combinatorial=True)
         assert report.n_max == 6  # a 13-cell board is the longest scanned
+
+    def test_identity_1_rows_pass_up_to_the_14_board(self):
+        # every tiling of the (n-1)-board is binned by its last metatile,
+        # which ends on the last cell: one bin per metatile of each length
+        report = verify(1, 20, combinatorial=True)
+        assert [r.n for r in report.rows] == list(range(2, 16))
+        assert report.all_pass
+        assert [(r.lhs, r.rhs) for r in report.rows] == [
+            (fib(n) ** 2, fib(n) ** 2) for n in range(2, 16)
+        ]
+        assert report.rows == verify(1, 15).rows
+
+    def test_identity_7_rows_are_the_cassini_audits(self):
+        report = verify(7, 20, combinatorial=True)
+        assert report.mode is Mode.COMBINATORIAL
+        assert [r.n for r in report.rows] == list(range(1, 15))
+        for row in report.rows:
+            audit = cassini_audit(row.n)
+            assert (row.lhs, row.rhs, row.bins_ok) == (
+                audit.lhs, audit.rhs, audit.structure_ok
+            )
+        assert report.all_pass
 
 
 def as_blocks(tilings):
@@ -356,7 +387,7 @@ class TestDriverFaults:
     """A tiling missing from the enumeration, or an allowed metatile missing
     from the grammar the expected counts are read from, fails its row."""
 
-    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    @pytest.mark.parametrize("ident", SCANNED)
     @pytest.mark.parametrize("dropped", ["first", "last"])
     def test_dropped_tiling_fails(self, monkeypatch, ident, dropped):
         drop = (lambda ts: ts[1:]) if dropped == "first" else (lambda ts: ts[:-1])
@@ -364,8 +395,8 @@ class TestDriverFaults:
         row = row_for(verify(ident, 3, combinatorial=True), 3)
         assert not row.bins_ok
         # the first tiling starts with a bifence, so every identity bins it;
-        # the all-h tiling comes last, and only identity 3 bins it
-        binned = dropped == "first" or ident == 3
+        # the all-h tiling comes last, and only identities 1 and 3 bin it
+        binned = dropped == "first" or ident in (1, 3)
         assert row.lhs == row.rhs - binned
 
     @pytest.mark.parametrize(
@@ -392,10 +423,11 @@ class TestDriverFaults:
 
 class TestLastMetatileCoefficients:
     """The forbidden pieces of each length are the coefficients of the
-    paper's formulas, so the combinatorial rows of identities 2-6 check the
+    paper's formulas, so the combinatorial rows of identities 1-6 check the
     paper's sums and not only the grammar."""
 
     PAPER = {
+        1: lambda l: {1: 1, 2: 3}.get(l, 2),
         2: lambda l: {1: 0, 2: 3}.get(l, 2),
         3: lambda l: 1 if l == 1 else 2,
         4: lambda l: 1 if l == 2 else 0,
@@ -403,7 +435,7 @@ class TestLastMetatileCoefficients:
         6: lambda l: 3 if l == 2 else 2 if l % 2 == 0 else 0,
     }
 
-    @pytest.mark.parametrize("ident", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("ident", SCANNED)
     def test_allowed_pieces_per_length(self, ident):
         board = 30
         restriction = identities._IDENTITIES[ident].restriction
@@ -425,7 +457,7 @@ class TestScanMemo:
     keeps no answers: each tail set is censused once, so a memo of them
     would not pay); the bins are those _predicted expects."""
 
-    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    @pytest.mark.parametrize("ident", SCANNED)
     def test_each_piece_is_decided_once(self, ident):
         restriction = identities._IDENTITIES[ident].restriction
         calls = Counter()
@@ -476,13 +508,13 @@ class TestBlockScan:
 
     @staticmethod
     def boards(ident: int, longest: int) -> list[int]:
+        """The boards combinatorial mode scans for the identity, in order,
+        up to longest cells."""
         record = identities._IDENTITIES[ident]
-        return sorted(
-            {record.board(n) for n in range(record.n_min, identities.DEFAULT_ORACLE_N + 1)}
-            & set(range(longest + 1))
-        )
+        cap = min(longest, identities.MAX_ORACLE_BOARD)
+        return list(takewhile(lambda b: b <= cap, map(record.board, count(record.n_min))))
 
-    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    @pytest.mark.parametrize("ident", SCANNED)
     def test_equals_the_per_tiling_scan_up_to_13_cells(self, ident):
         allowed = identities._IDENTITIES[ident].restriction.allowed
         boards = self.boards(ident, 13)
@@ -498,7 +530,7 @@ class TestBlockScan:
         assert expected[1:] == (A.values(14)[14], True)
         assert identities._scan(core._blocks(14), allowed) == expected
 
-    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    @pytest.mark.parametrize("ident", SCANNED)
     def test_fresh_copies_of_every_tail_set_pass(self, ident):
         # a census is keyed on the tails object: equal tails in a new
         # tuple get a census of their own, with the same outcome
@@ -516,7 +548,7 @@ class TestBlockFaults:
     twice.  The rows read the 9-board, which the walk hands on in blocks
     with m <= _MEMO_CELLS cells left."""
 
-    ROW = {2: 7, 3: 4, 4: 9, 5: 9, 6: 9}  # n with board(n) = 9
+    ROW = {1: 10, 2: 7, 3: 4, 4: 9, 5: 9, 6: 9}  # n with board(n) = 9
 
     @staticmethod
     def faulty_row(monkeypatch, ident, rewrite):
@@ -536,7 +568,7 @@ class TestBlockFaults:
         prefix, tails = blocks[i]
         return blocks[:i] + [(prefix, rewrite(tails))] + blocks[i + 1 :]
 
-    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    @pytest.mark.parametrize("ident", SCANNED)
     def test_a_duplicated_tail_fails(self, monkeypatch, ident):
         row = self.faulty_row(
             monkeypatch,
@@ -545,7 +577,7 @@ class TestBlockFaults:
         )
         assert not row.bins_ok
 
-    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    @pytest.mark.parametrize("ident", SCANNED)
     def test_a_dropped_tail_fails(self, monkeypatch, ident):
         row = self.faulty_row(
             monkeypatch,
@@ -554,7 +586,7 @@ class TestBlockFaults:
         )
         assert not row.bins_ok
 
-    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    @pytest.mark.parametrize("ident", SCANNED)
     def test_two_swapped_blocks_fail(self, monkeypatch, ident):
         row = self.faulty_row(
             monkeypatch, ident, lambda bs: [bs[1], bs[0], *bs[2:]]
@@ -563,7 +595,7 @@ class TestBlockFaults:
         assert row.lhs == row.rhs
         assert not row.bins_ok
 
-    @pytest.mark.parametrize("ident", COMBINATORIAL)
+    @pytest.mark.parametrize("ident", SCANNED)
     def test_a_fresh_tail_set_unlike_the_memo_fails(self, monkeypatch, ident):
         def rewrite(blocks):
             # the last block's tails are the memo of an m an earlier block
@@ -583,7 +615,7 @@ class TestBlockFaults:
 
 class TestNumericBound:
     """Numeric rows grow as n_max^2 in memory and text, so numeric mode
-    stops at MAX_NUMERIC_N; combinatorial mode caps its own n."""
+    stops at MAX_NUMERIC_N; combinatorial mode stops at its board cap."""
 
     @pytest.mark.parametrize("ident", range(1, 8))
     def test_beyond_the_bound_is_rejected(self, ident):
@@ -596,12 +628,16 @@ class TestNumericBound:
         assert report.all_pass
 
     def test_combinatorial_mode_is_not_bounded(self):
-        report = verify(4, 10**8, combinatorial=True)
-        assert report.mode is Mode.COMBINATORIAL
-        assert report.n_max == identities.DEFAULT_ORACLE_N
-        assert report.all_pass
-        with pytest.raises(ValueError, match="n_max must be at most"):
-            verify(7, 10**8, combinatorial=True)
+        # any n_max is accepted: the rows stop at the last board of at most
+        # MAX_ORACLE_BOARD cells, for every identity
+        for ident, last in LAST_COMBINATORIAL_N.items():
+            record = identities._IDENTITIES[ident]
+            report = verify(ident, 10**8, combinatorial=True)
+            assert report.mode is Mode.COMBINATORIAL
+            assert (report.n_min, report.n_max) == (record.n_min, last)
+            assert record.board(last) <= identities.MAX_ORACLE_BOARD
+            assert record.board(last + 1) > identities.MAX_ORACLE_BOARD
+            assert report.all_pass
 
 
 class TestReportShape:
@@ -630,15 +666,20 @@ class TestReportShape:
 
     def test_verify_all_runs_everything(self):
         reports = verify_all(8, combinatorial=True)
-        assert len(reports) == 12  # 7 numeric + 5 combinatorial
+        assert len(reports) == 14  # 7 numeric, then 7 combinatorial
+        assert [(r.identity_id, r.mode) for r in reports] == [
+            (i, mode) for mode in Mode for i in range(1, 8)
+        ]
         assert all(r.all_pass for r in reports)
+        assert verify_all(8) == reports[:7]
 
     def test_combinatorial_modes(self):
-        assert COMBINATORIAL == (2, 3, 4, 5, 6)
-        # the others fall back to their numeric check
-        for ident, n_min in ((1, 2), (7, 1)):
-            report = verify(ident, 5, combinatorial=True)
-            assert (report.mode, report.n_min) == (Mode.NUMERIC, n_min)
+        # every identity has both modes, and the flag picks one
+        for ident in range(1, 8):
+            for combinatorial, mode in ((False, Mode.NUMERIC), (True, Mode.COMBINATORIAL)):
+                report = verify(ident, 5, combinatorial)
+                assert report.mode is mode
+                assert report.n_min == identities._IDENTITIES[ident].n_min
 
 
 class TestRecordValues:
@@ -693,20 +734,24 @@ class TestRecordValues:
             del report.identity_id
         assert report == verify(1, 3)
 
-    def test_identity_defaults_to_numeric_only(self):
-        record = identities._Identity(2, len)
-        assert (record.board, record.restriction) == (None, None)
-        assert record == identities._Identity(2, len, None, None)
-        assert hash(record) == hash(identities._Identity(2, len, None, None))
-        assert record != identities._Identity(1, len)
-        assert identities._IDENTITIES[1] == identities._Identity(
-            2, identities._identity_1_rows
-        )
+    def test_identity_has_no_defaults(self):
+        # every identity states both modes: board and restriction are given
+        with pytest.raises(TypeError):
+            identities._Identity(2, len)
+        record = identities._Identity(2, len, abs, None)
+        assert record == identities._Identity(2, len, abs, None)
+        assert hash(record) == hash((2, len, abs, None))
+        assert record != identities._Identity(1, len, abs, None)
+        # identity 7 alone has no restriction: its rows are the audit's
+        assert [i for i, r in identities._IDENTITIES.items() if r.restriction is None] == [7]
+        one = identities._IDENTITIES[1]
+        assert (one.n_min, one.numeric, one.board(5)) == (2, identities._identity_1_rows, 4)
+        assert not any(map(one.restriction.allowed, metatile_encodings(3)))
 
     def test_identity_repr(self):
-        assert repr(identities._Identity(2, len)) == (
-            "_Identity(n_min=2, numeric=<built-in function len>, board=None, "
-            "restriction=None)"
+        assert repr(identities._Identity(2, len, abs, None)) == (
+            "_Identity(n_min=2, numeric=<built-in function len>, "
+            "board=<built-in function abs>, restriction=None)"
         )
 
     def test_identity_immutable(self):

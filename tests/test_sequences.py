@@ -255,11 +255,15 @@ class TestCountT:
 #: condition on, which RESTRICTIONS leaves out of the CLI filters.
 ONE_METATILE = {i: identities._IDENTITIES[i].restriction.allowed for i in (2, 3)}
 
+#: The predicate of identity 1, which admits no metatile.
+NOTHING = identities._IDENTITIES[1].restriction.allowed
+
 #: Every predicate sum_form derives a table for.
 PREDICATES = {
     **{name: r.allowed for name, r in RESTRICTIONS.items()},
     "only-hh": ONE_METATILE[2],
     "only-LLRR": ONE_METATILE[3],
+    "nothing": NOTHING,
 }
 
 
@@ -308,6 +312,13 @@ class TestSumFormTwins:
         expected = [period[n % len(period)] for n in range(301)]
         assert sum_form(allowed).values(300) == expected
         table = identities._IDENTITIES[ident].restriction.table
+        assert [table.value(n) for n in range(301)] == expected
+
+    def test_nothing_admitted_table(self):
+        # only the empty board is tiled without a metatile: X = 1, 0, 0, ...
+        expected = [1] + [0] * 300
+        assert sum_form(NOTHING).values(300) == expected
+        table = identities._IDENTITIES[1].restriction.table
         assert [table.value(n) for n in range(301)] == expected
 
     @pytest.mark.parametrize("name", sorted(PREDICATES))
