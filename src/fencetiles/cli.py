@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 
 from . import bijection, identities, sequences
 from .core import enumerate_tilings, validate
@@ -19,6 +20,27 @@ from .render import FORMATS, render
 def _at_most(what: str, n: int, cap: int) -> None:
     if n > cap:
         raise ValueError(f"{what}: n must be at most {cap}, got {n}")
+
+
+#: Streams are written in chunks of about this many characters: one write
+#: per chunk, not two per line, even when stdout passes every write on to
+#: the OS (PYTHONUNBUFFERED).
+_CHUNK = 1 << 16
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line and a newline to stdout, a chunk at a time; a line
+    at least a chunk long is written as soon as it is made."""
+    chunk: list[str] = []
+    size = 0
+    for line in lines:
+        chunk.append(line)
+        size += len(line) + 1
+        if size >= _CHUNK:
+            sys.stdout.write("\n".join(chunk) + "\n")
+            chunk, size = [], 0
+    if chunk:
+        sys.stdout.write("\n".join(chunk) + "\n")
 
 
 def _cmd_count(args) -> int:
@@ -39,19 +61,23 @@ def _cmd_enumerate(args) -> int:
     allowed = sequences.RESTRICTIONS[args.filter].allowed
     if args.format == "jsonl":
         import json  # deferred: most processes print no JSON
-    # not islice: --limit 0 must still start the walk, which rejects n < 0
-    for emitted, t in enumerate(enumerate_tilings(args.n, allowed)):
-        if args.limit is not None and emitted >= args.limit:
-            break
-        if args.format == "jsonl":
-            record = {
-                "n": args.n,
-                "encoding": t.encoding,
-                "metatiles": list(t.pieces),
-            }
-            print(json.dumps(record))
-        else:
-            print(t.encoding)
+
+    def lines():
+        # not islice: --limit 0 must still start the walk, which rejects n < 0
+        for emitted, t in enumerate(enumerate_tilings(args.n, allowed)):
+            if args.limit is not None and emitted >= args.limit:
+                return
+            if args.format == "jsonl":
+                record = {
+                    "n": args.n,
+                    "encoding": t.encoding,
+                    "metatiles": list(t.pieces),
+                }
+                yield json.dumps(record)
+            else:
+                yield t.encoding
+
+    _write_lines(lines())
     return 0
 
 
@@ -87,13 +113,17 @@ def _cmd_bijection(args) -> int:
             print(audit.failure, file=sys.stderr)
         return 0 if audit.balanced else 1
     _at_most("bijection", n, sequences.MAX_COUNT_N)
-    for t, ci, companion in bijection.cassini_sources(n):
-        source = t.encoding or "(empty)"  # the 0-board companion at n = 2
-        if ci.exception is not None:
-            print(f"{source} -> {ci.exception.value}")
-        else:
-            tag = " (companion)" if companion else ""
-            print(f"{source} -> copy {ci.target_copy.value} {ci.image}{tag}")
+
+    def lines():
+        for t, ci, companion in bijection.cassini_sources(n):
+            source = t.encoding or "(empty)"  # the 0-board companion at n = 2
+            if ci.exception is not None:
+                yield f"{source} -> {ci.exception.value}"
+            else:
+                tag = " (companion)" if companion else ""
+                yield f"{source} -> copy {ci.target_copy.value} {ci.image}{tag}"
+
+    _write_lines(lines())
     return 0
 
 

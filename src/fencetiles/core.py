@@ -37,6 +37,10 @@ _METATILE = re.compile("LLRR|(?:h|LhR)(?:LLRR)*(?:h|LhR)")
 #: fullmatch accepts exactly the encodings validate accepts.
 _TILING = re.compile(f"(?:{_METATILE.pattern})*")
 
+#: The tilings made only of odd-length metatiles: _TILING without the even
+#: metatiles, LLRR and the chains closed by one h and one LhR.
+_ODD_TILING = re.compile("(?:h(?:LLRR)*h|LhR(?:LLRR)*LhR)*")
+
 
 class InvalidTilingError(ValueError):
     """Raised when an encoding or a placement set is not a valid tiling."""
@@ -336,5 +340,6 @@ def has_bifence(t: Tiling) -> bool:
 
 
 def has_even_metatile(t: Tiling) -> bool:
-    # a metatile of even length 2j cells has an encoding of 4j symbols
-    return any(len(piece) % 4 == 0 for piece in t.pieces)
+    # the metatiles are a prefix-free code, so the encoding parses into odd
+    # ones exactly when it holds no even one
+    return _ODD_TILING.fullmatch(t.encoding) is None

@@ -571,6 +571,19 @@ class TestClassifiers:
         ((_, piece),) = decompose(validate("hh"))
         assert NO_FREE_BIFENCE(piece)
 
+    @pytest.mark.parametrize("l", range(1, 31))
+    def test_a_metatile_is_even_exactly_when_its_length_is(self, l):
+        for e in metatile_encodings(l):
+            assert has_even_metatile(Tiling((e,))) == (l % 2 == 0), e
+
+    def test_even_metatile_agrees_with_the_piece_length_rule(self):
+        # the rule has_even_metatile had before the odd grammar, kept as
+        # oracle: a metatile of even length 2j cells has 4j symbols
+        for n in range(13):
+            for t in enumerate_tilings(n):
+                expected = any(len(piece) % 4 == 0 for piece in t.pieces)
+                assert has_even_metatile(t) == expected, t.encoding
+
 
 class TestLastPositions:
     def test_mixed(self):

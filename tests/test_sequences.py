@@ -1,3 +1,4 @@
+import random
 import sys
 import threading
 
@@ -41,6 +42,13 @@ RECURRENCES = {
     "C": ((1, 1, 3), (1, 2, 1)),
     "T": ((1, 1, 1), (1, 1, 1)),
 }
+
+
+#: The n at which value is checked against an oracle: every n up to 300, and
+#: each side of every power of two up to 2^12, where n // 2 gains a bit.
+VALUE_POINTS = sorted(
+    {*range(301), *(2**k + step for k in range(13) for step in (-1, 0, 1))}
+)
 
 
 class MemoTable:
@@ -525,6 +533,30 @@ class TestSequenceTable:
         table = SequenceTable("powers", (5,), (3,))
         assert [table.value(n) for n in range(6)] == [5 * 3**n for n in range(6)]
         assert table.values(5) == [5 * 3**n for n in range(6)]
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_random_recurrences_match_memo_oracle(self, order):
+        # negative coefficients, and a last coefficient of 0 in every other
+        # table: the order is that of the table, not of its sequence
+        rng = random.Random(order)
+        for k in range(6):
+            coefficients = [rng.randint(-3, 3) for _ in range(order)]
+            if k % 2:
+                coefficients[-1] = 0
+            initial = [rng.randint(-5, 5) for _ in range(order)]
+            table = SequenceTable("random", initial, coefficients)
+            oracle = MemoTable(initial, coefficients)
+            assert [table.value(n) for n in VALUE_POINTS] == [
+                oracle.value(n) for n in VALUE_POINTS
+            ], (initial, coefficients)
+
+    @pytest.mark.parametrize("name", sorted(PREDICATES))
+    def test_sum_form_value_matches_its_values(self, name):
+        table = sum_form(PREDICATES[name])
+        expected = table.values(VALUE_POINTS[-1])
+        assert [table.value(n) for n in VALUE_POINTS] == [
+            expected[n] for n in VALUE_POINTS
+        ]
 
     @pytest.mark.parametrize("n", [29999, 30000, 65537])
     def test_big_values_match_fast_doubling(self, n):
