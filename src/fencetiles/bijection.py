@@ -28,13 +28,17 @@ from .core import (
     _Frozen,
     _blocks,
     _censused,
+    _memo_depth,
     enumerate_tilings,
     validate,
 )
 
 
-#: Largest n the CLI audits: each step of 2 in n costs about 6.8 times more;
-#: n = 18 took about 4 s, n = 20 about 30 s (CPython 3.11.7, 2 shared cores).
+#: Largest n the CLI audits.  With a memo of about half the board
+#: (core._memo_depth) each step of 2 in n costs about 3 times more: n = 18
+#: takes about 0.2 s, n = 20 about 0.6 s, against 2.7 s and 17 s with the
+#: 6-cell memo (CPython 3.11.7, 2 shared cores).  The cap stays where the
+#: CLI's usage contract has it: --n 19 is an input error, exit 2.
 MAX_AUDIT_N = 18
 
 
@@ -319,10 +323,12 @@ def cassini_audit(n: int) -> CassiniAudit:
 
     The sources are read by block from core._blocks: the n-board tilings,
     placed by _place, then the (n-2)-board companions, placed by
-    _companion.  Every rewrite happens at the rightmost or second-rightmost
-    h, and a block's prefix is whole metatiles, so it ends in h or R, never
-    in L.  So a tail holding an h is placed alike alone and after the
-    prefix, and _preimage reads its image alike (the locality lemma).
+    _companion.  All three walks, the targets' too, take the memo depth
+    core._memo_depth gives n, about half the board.  Every rewrite happens
+    at the rightmost or second-rightmost h, and a block's prefix is whole
+    metatiles, so it ends in h or R, never in L.  So a tail holding an h is
+    placed alike alone and after the prefix, and _preimage reads its image
+    alike (the locality lemma).
     core._censused places and checks each tail set once per role, tail by
     tail, into a census; per block the census counts are added and
     _block_fault checks the block.  The tails holding no h (all bifences,
@@ -335,8 +341,8 @@ def cassini_audit(n: int) -> CassiniAudit:
     second and third, counted by block) and the copy holds as many images
     as it has targets.  Exactly two all-bifence tilings must be left over,
     on the side the parity of n predicts.  failure names the first check
-    that fails.  Memory is O(n) plus the walk's memo and one census per
-    tail set.
+    that fails.  Memory is O(n) plus the walk's memo, about 1.6 A_d tails
+    at depth d, and one census per tail set.
     """
     if n < 1:
         raise ValueError("audit needs n >= 1")
@@ -344,8 +350,9 @@ def cassini_audit(n: int) -> CassiniAudit:
     def holding_h(tails):  # the target census: size, and tails holding an h
         return len(tails), sum("h" in "".join(t) for t in tails)
 
+    memo = _memo_depth(n)
     targets = h_targets = 0
-    for _, head, (count, with_h) in _censused(_blocks(n - 1), holding_h):
+    for _, head, (count, with_h) in _censused(_blocks(n - 1, None, memo), holding_h):
         targets += count
         h_targets += count if "h" in head else with_h
 
@@ -356,7 +363,8 @@ def cassini_audit(n: int) -> CassiniAudit:
         if board < 0:  # n = 1: the (-1)-board has no companion to place
             continue
         census = partial(_census, place, size - 2 * board)
-        for _, head, (counts, free, checks) in _censused(_blocks(board), census):
+        blocks = _blocks(board, None, memo)
+        for _, head, (counts, free, checks) in _censused(blocks, census):
             for k, count in enumerate(counts):
                 tally[k] += count
             if failure is None:

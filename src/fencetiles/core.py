@@ -181,18 +181,28 @@ def _candidates(cells: int, allowed: Callable[[str], bool] | None) -> Iterator[s
                 yield piece
 
 
-#: Boards of at most this many cells are tiled from the walk's memo.
+#: The depth of the walk's memo when none is given: boards of at most this
+#: many cells are tiled from it.  Enumeration keeps it, so its first tiling
+#: costs O(n); the exhaustive checks take _memo_depth.
 _MEMO_CELLS = 6
 
 
+def _memo_depth(n: int) -> int:
+    """The memo depth the exhaustive checks of an n-board walk with: about
+    half the board, so the memo's tails and the blocks that share them both
+    number about sqrt(A_n) (meet in the middle, after Horowitz and Sahni,
+    JACM 1974), and never less than _MEMO_CELLS."""
+    return max(_MEMO_CELLS, (n + 1) // 2)
+
+
 def _blocks(
-    n: int, allowed: Callable[[str], bool] | None = None
+    n: int, allowed: Callable[[str], bool] | None = None, memo: int = _MEMO_CELLS
 ) -> Iterator[tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]]:
     """Yield, in lexicographic encoding order, the tilings of an n-board
     whose metatiles allowed admits (every tiling when it is None) by block:
     (prefix, tails), the pieces placed so far and the walk's own memo tuple
-    tails[m] of the tilings of the m <= _MEMO_CELLS cells left.  The
-    block's tilings are prefix + t for t in tails, in that order.
+    tails[m] of the tilings of the m <= memo cells left.  The block's
+    tilings are prefix + t for t in tails, in that order.
 
     An iterative walk over metatile sequences: a stack holds one candidate
     iterator per metatile placed, and a forbidden metatile is never a
@@ -201,15 +211,16 @@ def _blocks(
     tilings in encoding order.  When a frame runs through its candidates,
     the walk stores them under the frame's cell count, and later frames
     with that count iterate the stored tuple.  Every completion of a frame
-    with m <= _MEMO_CELLS cells left is one of the tilings of an m-board,
-    so the walk builds those once, tail-first, into its memo tails[m] and
-    hands that very tuple on in place of further frames: every block with
-    m cells left shares one tails object.  Store and memo belong to this
-    walk; the store holds only counts a frame has already run through and
-    the memo at most A_6 = 169 tilings, so the first block costs O(n) time
-    and memory plus that constant without allowed; with it, each of O(n)
-    frames may reject O(n) candidates of O(n) symbols before its first,
-    O(n^3) symbol work at worst.
+    with m <= memo cells left is one of the tilings of an m-board, so the
+    walk builds those once, tail-first, into its memo tails[m] and hands
+    that very tuple on in place of further frames: every block with m cells
+    left shares one tails object.  Store and memo belong to this walk; the
+    store holds only counts a frame has already run through, and the memo
+    the tilings of every board of at most memo cells, about 1.6 A_memo
+    tuples (273 at the default depth), all built before the first block.  So the first block costs O(n) time and memory
+    plus the memo without allowed; with it, each of O(n) frames may reject
+    O(n) candidates of O(n) symbols before its first, O(n^3) symbol work
+    at worst.
     """
     _check_length(n)
     tails: list[tuple[tuple[str, ...], ...]] = [((),)]
@@ -223,7 +234,7 @@ def _blocks(
             ))
         return tails[m]
 
-    if n <= _MEMO_CELLS:
+    if n <= memo:
         yield (), tail(n)
         return
     store: dict[int, tuple[str, ...]] = {}
@@ -240,7 +251,7 @@ def _blocks(
                 left += len(pieces.pop()) // 2
             continue
         rest = left - len(piece) // 2
-        if rest > _MEMO_CELLS:
+        if rest > memo:
             pieces.append(piece)
             left = rest
             done = store.get(left)
@@ -252,10 +263,11 @@ def _blocks(
 def _censused(blocks: Iterable[tuple], census: Callable) -> Iterator[tuple]:
     """Yield (prefix, head, census(tails)) for each block (prefix, tails) of
     _blocks that holds a tiling, head being the joined prefix: the one
-    block driver of the exhaustive checks.  census reads a tail set once;
-    its result is reused only for that very tuple object, never for an
-    equal one, so a tail set that is not the walk's memo gets its own.
-    Each memo entry holds its tails, so no other tuple takes that id."""
+    block driver of enumeration and the exhaustive checks.  census reads a
+    tail set once; its result is reused only for that very tuple object,
+    never for an equal one, so a tail set that is not the walk's memo gets
+    its own.  Each memo entry holds its tails, so no other tuple takes that
+    id."""
     memo: dict[int, tuple] = {}
     for prefix, tails in blocks:
         if tails:
@@ -276,13 +288,28 @@ def _walk(
         yield from map(prefix.__add__, tails)
 
 
+def _joined(tails: tuple[tuple[str, ...], ...]) -> tuple[tuple, ...]:
+    """Enumeration's census of a tail set: each tail with its encoding."""
+    return tuple(zip(tails, map("".join, tails)))
+
+
 def enumerate_tilings(
     n: int, allowed: Callable[[str], bool] | None = None
 ) -> Iterator[Tiling]:
     """Yield once, in lexicographic encoding order, every tiling of an
     n-board whose metatiles allowed admits (every tiling when it is None):
-    the tilings of _walk, lazily, with its first-tiling cost."""
-    return map(Tiling, _walk(n, allowed))
+    the tilings of _walk, lazily, with its first-tiling cost.  A block's
+    prefix is joined once per block and a tail once per tail set, so each
+    tiling is two concatenations, written into its fields as __init__
+    does."""
+    new = Tiling.__new__
+    for prefix, head, tails in _censused(_blocks(n, allowed), _joined):
+        for t, e in tails:
+            tiling = new(Tiling)
+            d = tiling.__dict__
+            d["pieces"] = prefix + t
+            d["encoding"] = head + e
+            yield tiling
 
 
 def count_tilings(

@@ -22,7 +22,7 @@ from enum import Enum
 from itertools import accumulate, takewhile
 
 from .bijection import cassini_audit
-from .core import _blocks, _censused, metatile_encodings
+from .core import _blocks, _censused, _memo_depth, metatile_encodings
 from .sequences import A, C, FIB, RESTRICTIONS, S, T, Restriction, decimal, sum_form
 
 #: Longest board the combinatorial (exhaustive enumeration) mode will scan:
@@ -267,13 +267,17 @@ def _scan(
     prefix when t has none.  So core._censused reads each tail set into a
     census: its size, bins keyed by end cell within the tail, the number
     of tails with no forbidden piece, the first and last joined tail, and
-    whether the joined tails strictly increase.  Per block, the census bins
-    are shifted by the prefix's cell count, the tails with no forbidden
-    piece go to the prefix's last forbidden piece, and prefix + first tail
-    must come after the previous block's prefix + last tail: work per
-    block, not per tiling.
+    whether the joined tails strictly increase.  Per block, the scan adds
+    the census size to the tilings scanned, checks that prefix + first tail
+    comes after the previous block's prefix + last tail, sends the tails
+    with no forbidden piece to the prefix's last forbidden piece, and counts
+    one block for the census at the prefix's cell count.  After the walk
+    it folds each census's bins in once per (census, cell count), shifted
+    by that count and times the blocks counted there: no bin is touched per
+    block, and no tiling is read one by one.
     """
     observed: dict = {}
+    censuses: list = []  # (bins, in_order, shifts) per tail set
     prev, scanned, ordered = None, 0, True
 
     def last_forbidden(pieces: tuple[str, ...], end: int) -> tuple | None:
@@ -296,22 +300,27 @@ def _scan(
             else:
                 bins[key] = bins.get(key, 0) + 1
         in_order = all(map(str.__lt__, joined, joined[1:]))
-        return len(tails), bins.items(), free, joined[0], joined[-1], in_order
+        shifts: dict[int, int] = {}  # blocks reading this census, by cell offset
+        censuses.append((bins, in_order, shifts))
+        return len(tails), free, joined[0], joined[-1], shifts
 
-    for prefix, head, entry in _censused(blocks, census):
-        size, bins, free, first, last, in_order = entry
+    for prefix, head, (size, free, first, last, shifts) in _censused(blocks, census):
         scanned += size
-        if not in_order or (prev is not None and head + first <= prev):
+        if prev is not None and head + first <= prev:
             ordered = False
         prev = head + last
         shift = len(head) // 2
-        for (k, piece), count in bins:
-            key = k + shift, piece
-            observed[key] = observed.get(key, 0) + count
+        shifts[shift] = shifts.get(shift, 0) + 1
         if free:
             key = last_forbidden(prefix, len(head))
             if key is not None:
                 observed[key] = observed.get(key, 0) + free
+    for bins, in_order, shifts in censuses:
+        ordered = ordered and in_order
+        for shift, blocks_at in shifts.items():
+            for (k, piece), count in bins.items():
+                key = k + shift, piece
+                observed[key] = observed.get(key, 0) + count * blocks_at
     return observed, scanned, ordered
 
 
@@ -327,7 +336,8 @@ def _combinatorial_row(ident: _Identity, n: int) -> IdentityRow:
         return IdentityRow(n, audit.lhs, audit.rhs, audit.structure_ok)
     a = A.values(board)
     expected, relevant = _predicted(ident.restriction, board, a)
-    observed, scanned, ordered = _scan(_blocks(board), ident.restriction.allowed)
+    blocks = _blocks(board, None, _memo_depth(board))
+    observed, scanned, ordered = _scan(blocks, ident.restriction.allowed)
     binned = sum(observed.values())
     bins_ok = (
         ordered and scanned == a[board] and observed == expected and binned == relevant

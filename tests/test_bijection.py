@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -343,6 +344,27 @@ class TestAuditOracle:
         assert audit == per_source_audit(n)
         assert audit.failure is None
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_per_source_audit_at_every_memo_depth(self, monkeypatch, n):
+        # the audit walks its three boards with one memo depth, the one its
+        # rule gives for n; at each depth the blocks differ, the audit not
+        expected = per_source_audit(n)
+        real = bijection._blocks
+        for depth in range(core._MEMO_CELLS, 10):
+            walked = []
+
+            def blocks(board, allowed=None, memo=core._MEMO_CELLS):
+                walked.append(memo)
+                return real(board, allowed, memo)
+
+            with monkeypatch.context() as m:
+                m.setattr(bijection, "_memo_depth", lambda board: depth)
+                m.setattr(bijection, "_blocks", blocks)
+                audit = cassini_audit(n)
+            assert audit == expected, depth
+            assert audit.failure is None
+            assert walked == [depth] * (3 if n >= 2 else 2)
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_sources_in_order(self, n):
         sources = list(cassini_sources(n))
@@ -372,11 +394,16 @@ class TestAuditOracle:
 
 class TestLocalityLemma:
     """What the block audit trusts: a tail holding an h is placed, and read
-    back, alike alone and after its block's prefix."""
+    back, alike alone and after its block's prefix.  The audit's memo grows
+    with the board (core._memo_depth), so the lemma is tested on tails of
+    every depth from the walk's default to 9 cells."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_a_tail_holding_an_h_is_placed_alone(self, n):
-        for prefix, tails in core._blocks(n):
+        depths = range(core._MEMO_CELLS, 10)
+        for prefix, tails in chain.from_iterable(
+            core._blocks(n, None, depth) for depth in depths
+        ):
             head = "".join(prefix)
             assert not head.endswith("L")  # whole metatiles end in h or R
             for t in tails:
@@ -580,12 +607,13 @@ class TestAuditFaults:
 
         real = bijection._blocks
         for fault in (duplicated, dropped):
+
+            def blocks(board, allowed=None, memo=core._MEMO_CELLS):
+                walk = real(board, allowed, memo)
+                return fault(list(walk)) if board == n else walk
+
             with monkeypatch.context() as m:
-                m.setattr(
-                    bijection,
-                    "_blocks",
-                    lambda b: fault(list(real(b))) if b == n else real(b),
-                )
+                m.setattr(bijection, "_blocks", blocks)
                 audit = cassini_audit(n)
             assert not audit.structure_ok
             assert not audit.balanced
@@ -601,8 +629,8 @@ class TestAuditFaults:
         # all-bifence (n-1)-board target trips coverage first (checked below)
         real = bijection._blocks
 
-        def blocks(board):
-            for prefix, tails in real(board):
+        def blocks(board, allowed=None, memo=core._MEMO_CELLS):
+            for prefix, tails in real(board, allowed, memo):
                 if board == n and "h" not in "".join(prefix):
                     tails = tuple(t for t in tails if "h" in "".join(t))
                 yield prefix, tails

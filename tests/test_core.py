@@ -368,6 +368,19 @@ class TestEnumerate:
         assert seen["9 no-bifence"] == [e for e in half_cell_tilings(9) if "LL" not in e]
         assert module_state() == before
 
+    @pytest.mark.parametrize("name", RESTRICTIONS)
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_each_tiling_is_the_value_its_pieces_make(self, n, name):
+        # the tilings are written block by block from a joined prefix and
+        # joined tails: each must be the Tiling of its walked pieces
+        allowed = RESTRICTIONS[name].allowed
+        tilings = list(enumerate_tilings(n, allowed))
+        assert [t.pieces for t in tilings] == list(core._walk(n, allowed))
+        for t in tilings:
+            assert t.encoding == "".join(t.pieces)
+            built = Tiling(t.pieces)
+            assert t == built and hash(t) == hash(built)
+
     def test_filter_is_applied(self):
         encs = [t.encoding for t in enumerate_tilings(2, lambda e: "h" in e)]
         assert encs == ["LhRh", "hLhR", "hhhh"]
@@ -418,11 +431,34 @@ class TestWalk:
             assert tails == tuple(core._walk(m, allowed))
             assert memo.setdefault(m, tails) is tails
 
+    @pytest.mark.parametrize("name", RESTRICTIONS)
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_every_memo_depth_walks_the_same_tilings(self, n, name):
+        # a deeper memo makes longer tails and fewer blocks, never other
+        # tilings or another order
+        allowed = RESTRICTIONS[name].allowed
+        walk = list(core._walk(n, allowed))
+        for depth in range(0, 12):
+            memo, flat = {}, []
+            for prefix, tails in core._blocks(n, allowed, depth):
+                m = n - len("".join(prefix)) // 2
+                assert m <= depth and (prefix == ()) == (n <= depth), (depth, prefix)
+                assert memo.setdefault(m, tails) is tails
+                flat += [prefix + t for t in tails]
+            assert flat == walk, depth
+
+    def test_the_depth_rule_deepens_the_memo_from_13_cells(self):
+        # the exhaustive checks walk with about half the board, enumeration
+        # with the default
+        assert [core._memo_depth(n) for n in (0, 6, 11, 12, 13, 14, 18, 20)] == [
+            6, 6, 6, 6, 7, 7, 9, 10,
+        ]
+
 
 class TestCensused:
-    """The block driver of the identity scan and the Cassini audit: each
-    block with its joined prefix and the census of its tail set, taken once
-    per tails object."""
+    """The block driver of enumeration, the identity scan and the Cassini
+    audit: each block with its joined prefix and the census of its tail
+    set, taken once per tails object."""
 
     @staticmethod
     def counting(calls):

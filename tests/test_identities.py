@@ -352,8 +352,8 @@ class TestCountedOnce:
     def patched(monkeypatch, rewrite):
         real = identities._blocks
 
-        def _blocks(n, allowed=None):
-            tilings = [p + t for p, tails in real(n, allowed) for t in tails]
+        def _blocks(n, allowed=None, memo=core._MEMO_CELLS):
+            tilings = [p + t for p, tails in real(n, allowed, memo) for t in tails]
             return iter(as_blocks(rewrite(tilings)))
 
         monkeypatch.setattr(identities, "_blocks", _blocks)
@@ -514,6 +514,9 @@ class TestBlockScan:
         cap = min(longest, identities.MAX_ORACLE_BOARD)
         return list(takewhile(lambda b: b <= cap, map(record.board, count(record.n_min))))
 
+    #: memo depths from the walk's default to beyond the half of a 14-board
+    DEPTHS = range(core._MEMO_CELLS, 11)
+
     @pytest.mark.parametrize("ident", SCANNED)
     def test_equals_the_per_tiling_scan_up_to_13_cells(self, ident):
         allowed = identities._IDENTITIES[ident].restriction.allowed
@@ -521,14 +524,42 @@ class TestBlockScan:
         assert boards[-1] >= 12
         for board in boards:
             expected = reference_scan(core._walk(board), allowed)
-            assert identities._scan(core._blocks(board), allowed) == expected, board
+            for depth in self.DEPTHS:
+                blocks = core._blocks(board, None, depth)
+                assert identities._scan(blocks, allowed) == expected, (board, depth)
 
     def test_identity_2_equals_the_per_tiling_scan_on_the_14_board(self):
         allowed = identities._IDENTITIES[2].restriction.allowed
         assert 14 in self.boards(2, 14)
         expected = reference_scan(core._walk(14), allowed)
         assert expected[1:] == (A.values(14)[14], True)
-        assert identities._scan(core._blocks(14), allowed) == expected
+        for depth in self.DEPTHS:
+            blocks = core._blocks(14, None, depth)
+            assert identities._scan(blocks, allowed) == expected, depth
+
+    @pytest.mark.parametrize("ident", SCANNED)
+    def test_one_tail_set_after_prefixes_of_every_length(self, ident):
+        # the walk reads a tail set at one cell offset only; a census read at
+        # several must have its bins folded in at each of them
+        allowed = identities._IDENTITIES[ident].restriction.allowed
+        tails = tuple(core._walk(5))
+        blocks = [(p, tails) for m in range(5) for p in core._walk(m)]
+        expected = reference_scan((p + t for p, ts in blocks for t in ts), allowed)
+        assert identities._scan(blocks, allowed) == expected
+
+    def test_rows_walk_at_the_depth_rule(self, monkeypatch):
+        # every scanned board is walked with the memo core._memo_depth gives
+        # it: 6 cells up to the 12-board, 7 on the 13- and 14-boards
+        real, walked = identities._blocks, []
+
+        def _blocks(n, allowed=None, memo=core._MEMO_CELLS):
+            walked.append((n, memo))
+            return real(n, allowed, memo)
+
+        monkeypatch.setattr(identities, "_blocks", _blocks)
+        assert verify(4, 14, combinatorial=True).all_pass
+        assert walked == [(n, core._memo_depth(n)) for n in range(15)]
+        assert {n: memo for n, memo in walked if memo > 6} == {13: 7, 14: 7}
 
     @pytest.mark.parametrize("ident", SCANNED)
     def test_fresh_copies_of_every_tail_set_pass(self, ident):
@@ -554,8 +585,8 @@ class TestBlockFaults:
     def faulty_row(monkeypatch, ident, rewrite):
         real = identities._blocks
 
-        def _blocks(n, allowed=None):
-            blocks = list(real(n, allowed))
+        def _blocks(n, allowed=None, memo=core._MEMO_CELLS):
+            blocks = list(real(n, allowed, memo))
             return iter(rewrite(blocks) if n == 9 else blocks)
 
         monkeypatch.setattr(identities, "_blocks", _blocks)
