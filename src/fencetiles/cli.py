@@ -1,16 +1,21 @@
 """Command-line front end.
 
 Thin adapters only: every subcommand calls straight into the library.
+One table, `_commands`, defines the subcommands and their arguments.
+`main` reads a plain command line straight from it; any other (help, an
+abbreviation, a usage error) goes to the argparse parser built from the
+same table, so only those import argparse.
+
 Exit status 0 on success / all-pass, 1 on verification failure, 2 on
 usage, input or I/O errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Iterable
+from types import SimpleNamespace
 
 from . import bijection, identities, sequences
 from .core import enumerate_tilings, validate
@@ -82,8 +87,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    for piece in validate(args.encoding).pieces:
-        print(piece)
+    _write_lines(validate(args.encoding).pieces)
     return 0
 
 
@@ -140,63 +144,121 @@ def _cmd_render(args) -> int:
 def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
+        import argparse  # deferred: only a usage error needs it
+
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
+def _commands() -> tuple:
+    """The subcommands, as (name, help, handler, arguments) with each
+    argument the (name, keywords) of one `add_argument` call.  Built when
+    `main` runs, so the choices are those of the tables at that moment."""
+    return (
+        ("count", "evaluate a sequence value", _cmd_count, (
+            ("--seq", dict(required=True, choices=[*sequences.TABLES, "hsq"])),
+            ("--n", dict(required=True, type=non_negative_int)),
+        )),
+        ("enumerate", "stream tilings of an n-board", _cmd_enumerate, (
+            ("--n", dict(required=True, type=int)),
+            ("--filter", dict(default="none", choices=sorted(sequences.RESTRICTIONS))),
+            ("--limit", dict(type=non_negative_int, default=None)),
+            ("--format", dict(default="text", choices=["text", "jsonl"])),
+        )),
+        ("decompose", "split an encoding into metatiles", _cmd_decompose, (
+            ("encoding", {}),
+        )),
+        ("verify", "check the identities", _cmd_verify, (
+            ("--identity", dict(
+                required=True, choices=[*map(str, identities._IDENTITIES), "all"]
+            )),
+            ("--max-n", dict(required=True, type=int)),
+            ("--combinatorial", dict(action="store_true")),
+        )),
+        ("bijection", "print or audit the near-bijection", _cmd_bijection, (
+            ("--n", dict(required=True, type=int)),
+            ("--audit", dict(action="store_true")),
+        )),
+        ("render", "draw a tiling", _cmd_render, (
+            ("encoding", {}),
+            ("--format", dict(default="ascii", choices=FORMATS)),
+            ("--out", dict(default=None)),
+        )),
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # deferred: only help and usage errors need it
+
     parser = argparse.ArgumentParser(
         prog="fencetiles",
         description="Tilings of n-boards by half-squares and half-gap fences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="evaluate a sequence value")
-    p.add_argument("--seq", required=True, choices=[*sequences.TABLES, "hsq"])
-    p.add_argument("--n", required=True, type=non_negative_int)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("enumerate", help="stream tilings of an n-board")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--filter", default="none", choices=sorted(sequences.RESTRICTIONS))
-    p.add_argument("--limit", type=non_negative_int, default=None)
-    p.add_argument("--format", default="text", choices=["text", "jsonl"])
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("decompose", help="split an encoding into metatiles")
-    p.add_argument("encoding")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("verify", help="check the identities")
-    p.add_argument(
-        "--identity",
-        required=True,
-        choices=[*map(str, identities._IDENTITIES), "all"],
-    )
-    p.add_argument("--max-n", required=True, type=int)
-    p.add_argument("--combinatorial", action="store_true")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bijection", help="print or audit the near-bijection")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--audit", action="store_true")
-    p.set_defaults(func=_cmd_bijection)
-
-    p = sub.add_parser("render", help="draw a tiling")
-    p.add_argument("encoding")
-    p.add_argument("--format", default="ascii", choices=FORMATS)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_render)
-
+    for name, summary, func, arguments in _commands():
+        p = sub.add_parser(name, help=summary)
+        for argument, keywords in arguments:
+            p.add_argument(argument, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` gives, for a plain command
+    line; None for any other, which is left to argparse.
+
+    Plain means a command and then its arguments, each option spelled in
+    full, given at most once and followed by its value; no value starts
+    with "-", each passes its type and choices, and every required argument
+    is given.  So help, "--", abbreviations, `--opt=value` and every usage
+    error go to argparse, the one authority on messages and exit codes."""
+    rows = {row[0]: row for row in _commands()}
+    if not argv or argv[0] not in rows:
+        return None
+    name, _, func, arguments = rows[argv[0]]
+    spec = dict(arguments)
+    positionals = [a for a in spec if not a.startswith("-")]
+    given: dict[str, str | bool] = {}
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if not positionals:
+                return None
+            given[positionals.pop(0)] = word
+        elif word in spec and word not in given:
+            flag = spec[word].get("action") == "store_true"
+            given[word] = True if flag else next(words, "-")
+        else:
+            return None
+    args = SimpleNamespace(command=name, func=func)
+    for argument, keywords in arguments:
+        value = given.get(argument)
+        if value is None:
+            if keywords.get("required") or not argument.startswith("-"):
+                return None
+            flag = keywords.get("action") == "store_true"
+            value = keywords.get("default", False if flag else None)
+        elif value is not True:
+            if value.startswith("-"):
+                return None
+            try:
+                value = keywords.get("type", str)(value)
+            except Exception:  # whatever a type raises, argparse reports it
+                return None
+            if value not in keywords.get("choices", [value]):
+                return None
+        setattr(args, argument.lstrip("-").replace("-", "_"), value)
+    return args
+
+
+def main(argv: Iterable[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         status = args.func(args)
         sys.stdout.flush()

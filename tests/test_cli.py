@@ -1,7 +1,9 @@
 import argparse
 import hashlib
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -457,12 +459,80 @@ options:
   --out OUT
 """,
             ),
+            (
+                "enumerate",
+                """usage: fencetiles enumerate [-h] --n N
+                            [--filter {no-bifence,no-free-bifence,none,odd-metatiles}]
+                            [--limit LIMIT] [--format {text,jsonl}]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --filter {no-bifence,no-free-bifence,none,odd-metatiles}
+  --limit LIMIT
+  --format {text,jsonl}
+""",
+            ),
+            (
+                "decompose",
+                """usage: fencetiles decompose [-h] encoding
+
+positional arguments:
+  encoding
+
+options:
+  -h, --help  show this help message and exit
+""",
+            ),
+            (
+                "verify",
+                """usage: fencetiles verify [-h] --identity {1,2,3,4,5,6,7,all} --max-n MAX_N
+                         [--combinatorial]
+
+options:
+  -h, --help            show this help message and exit
+  --identity {1,2,3,4,5,6,7,all}
+  --max-n MAX_N
+  --combinatorial
+""",
+            ),
+            (
+                "bijection",
+                """usage: fencetiles bijection [-h] --n N [--audit]
+
+options:
+  -h, --help  show this help message and exit
+  --n N
+  --audit
+""",
+            ),
+            (
+                "",
+                """usage: fencetiles [-h] {count,enumerate,decompose,verify,bijection,render} ...
+
+Tilings of n-boards by half-squares and half-gap fences.
+
+positional arguments:
+  {count,enumerate,decompose,verify,bijection,render}
+    count               evaluate a sequence value
+    enumerate           stream tilings of an n-board
+    decompose           split an encoding into metatiles
+    verify              check the identities
+    bijection           print or audit the near-bijection
+    render              draw a tiling
+
+options:
+  -h, --help            show this help message and exit
+""",
+            ),
         ],
     )
     def test_subcommand_help_is_pinned(self, capsys, monkeypatch, command, expected):
-        # the choices come from sequences.TABLES and render.FORMATS
+        # the parser is built from cli._commands, and the choices from
+        # sequences.TABLES, sequences.RESTRICTIONS, identities._IDENTITIES
+        # and render.FORMATS; "" is the top-level help
         monkeypatch.setenv("COLUMNS", "80")
-        assert run(capsys, command, "--help") == (0, expected, "")
+        assert run(capsys, *command.split(), "--help") == (0, expected, "")
 
     def test_help_exits_zero(self, capsys):
         status, out, _ = run(capsys, "--help")
@@ -513,10 +583,122 @@ class TestImport:
         # none of these is needed to start the CLI; -S keeps site-packages'
         # .pth files, which may import any of them, out of the process
         argv, env = cli_command()
-        heavy = {"dataclasses", "inspect", "typing", "json"}
+        heavy = {"dataclasses", "inspect", "typing", "json", "argparse", "gettext"}
         code = f"import sys, fencetiles.cli; print(sorted({heavy} & set(sys.modules)))"
         proc = subprocess.run(
             [argv[0], "-S", "-c", code],
             capture_output=True, text=True, env=env, timeout=20,
         )
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+    def test_a_plain_command_line_loads_no_argparse(self):
+        # main reads a plain command line itself; only help and usage errors
+        # build the argparse parser
+        argv, env = cli_command()
+        code = (
+            "import sys; from fencetiles.cli import main; "
+            "status = main(['count', '--seq', 'A', '--n', '10']); "
+            "print(status, sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [argv[0], "-S", "-c", code],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "7921\n0 []\n")
+
+
+def reader_pieces(arguments):
+    """Argv fragments for one subcommand's arguments: each option with valid
+    and invalid values, bare, abbreviated and as --opt=value, and the words
+    a plain command line never holds."""
+    pieces = [("-h",), ("--help",), ("--",), ("",), ("-1",), ("hh",), ("LLRR",)]
+    for argument, keywords in arguments:
+        if not argument.startswith("-"):
+            continue  # "hh" and "LLRR" fill positionals
+        pieces += [(argument,), (argument[:-1],), (argument + "=1",)]
+        if keywords.get("action") == "store_true":
+            continue
+        if "choices" in keywords:
+            choices = [str(c) for c in keywords["choices"]]
+            valid, invalid = [choices[0], choices[-1]], ["Z"]
+        elif "type" in keywords:
+            valid, invalid = ["0", "12"], ["x", " -1", "1.5"]
+        else:
+            valid, invalid = ["out.txt"], []
+        pieces += [(argument, v) for v in valid + invalid]
+        pieces += [(argument[:-1], valid[0]), (f"{argument}={valid[0]}",)]
+    return pieces
+
+
+def canonical_unit(argument, keywords):
+    """An argument as a plain command line gives it: its first valid value."""
+    if not argument.startswith("-"):
+        return ("hh",)
+    if keywords.get("action") == "store_true":
+        return (argument,)
+    return (argument, str(keywords.get("choices", ["0"])[0]))
+
+
+class TestPlainReader:
+    """cli._read_plain against argparse, its reference: whenever the reader
+    gives a namespace, build_parser().parse_args gives an equal one."""
+
+    COMMANDS = [row[0] for row in cli._commands()]
+
+    @staticmethod
+    def agree(parser, argv):
+        args = cli._read_plain(argv)
+        if args is None:
+            return False
+        try:
+            expected = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the reader read {argv!r}, which argparse rejects")
+        assert vars(args) == vars(expected), argv
+        return True
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_reads_only_what_argparse_reads_alike(self, name, capsys):
+        (arguments,) = [row[3] for row in cli._commands() if row[0] == name]
+        parser = cli.build_parser()
+        pieces = reader_pieces(arguments)
+        read = 0
+        for length in range(4):
+            for chosen in itertools.product(pieces, repeat=length):
+                read += self.agree(parser, [name, *itertools.chain(*chosen)])
+        rng = random.Random(2024)
+        for _ in range(500):
+            chosen = rng.choices(pieces, k=rng.randint(4, 8))
+            read += self.agree(parser, [name, *itertools.chain(*chosen)])
+        assert read > 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_every_canonical_form_is_read(self, name):
+        # each optional argument present or not, in every order
+        (arguments,) = [row[3] for row in cli._commands() if row[0] == name]
+        parser = cli.build_parser()
+        units = {a: canonical_unit(a, kw) for a, kw in arguments}
+        needed = [a for a, kw in arguments if kw.get("required") or a[0] != "-"]
+        optional = [a for a in units if a not in needed]
+        for k in range(len(optional) + 1):
+            for extra in itertools.combinations(optional, k):
+                for order in itertools.permutations(needed + list(extra)):
+                    argv = [name, *itertools.chain(*(units[a] for a in order))]
+                    assert self.agree(parser, argv), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--seq", "A", "--n=-1"],
+            ["enumerate", "--lim", "-1", "--n", "3"],
+            ["count", "--seq", "A", "--n", " -1"],
+            ["count", "--seq", "A", "--n", "3", "--n", "4"],
+            ["decompose", "--", "-h"],
+            ["verify", "--identity", "8", "--max-n", "3"],
+            [],
+            ["count", "--help"],
+        ],
+    )
+    def test_leaves_other_spellings_to_argparse(self, argv):
+        assert cli._read_plain(argv) is None
