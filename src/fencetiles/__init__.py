@@ -33,7 +33,7 @@ from .core import (
     metatile_encodings,
     validate,
 )
-from .identities import IdentityReport, IdentityRow, Mode, verify, verify_all
+from .identities import IdentityReport, IdentityRow, Mode, verify
 from .render import render, render_ascii, render_svg
 from .sequences import (
     SequenceTable,
@@ -43,8 +43,6 @@ from .sequences import (
     count_T,
     count_halfsquare_square,
     fib,
-    sequence_csv,
-    sequence_jsonl,
 )
 
 __version__ = "0.1.0"

@@ -59,10 +59,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.filter == "none":
-        _at_most("enumerate", args.n, sequences.MAX_COUNT_N)
-    else:
-        _at_most(f"enumerate --filter {args.filter}", args.n, sequences.MAX_FILTERED_N)
+    _at_most("enumerate", args.n, sequences.MAX_COUNT_N)
     allowed = sequences.RESTRICTIONS[args.filter].allowed
     if args.format == "jsonl":
         import json  # deferred: most processes print no JSON

@@ -167,17 +167,53 @@ def _metatile(lead: str, length_cells: int) -> str:
     return lead + "LLRR" * (rest // 4) + ("h" if rest % 4 == 1 else "LhR")
 
 
-def _candidates(cells: int, allowed: Callable[[str], bool] | None) -> Iterator[str]:
-    """Every metatile of at most `cells` cells that allowed admits (every
-    one when allowed is None), in encoding order: LLRR, then those starting
-    LhR, then those starting h, each family from the longest to the
-    shortest (a longer bifence chain sorts first)."""
-    if cells >= 2 and (allowed is None or allowed("LLRR")):
+def _admitted(allowed: Callable[[str], bool] | None) -> tuple:
+    """allowed (every metatile when it is None) read once into the rule of
+    the walk and sum_form: (bifence, families), whether it admits LLRR and,
+    per lead, LhR then h, (lead, the metatiles under 4 cells it admits,
+    longest first, the parities of the lengths it admits from 4 cells on).
+    A metatile other than LLRR is its lead and length, so the rule is
+    allowed if that reads a metatile of l >= 6 cells as the one of l - 2
+    with the same lead; up to 12 cells a ValueError says where it does not."""
+    if allowed is None:
+        return _EVERY
+    leads = {"LhR": 2, "h": 1}  # with the length of the shortest, in cells
+    admits = {(lead, l): bool(allowed(_metatile(lead, l)))
+              for lead, shortest in leads.items() for l in range(shortest, 13)}
+    for l in range(6, 13):
+        for lead in leads:
+            if admits[lead, l] != admits[lead, l - 2]:
+                raise ValueError(
+                    f"the predicate reads {_metatile(lead, l)!r} and "
+                    f"{_metatile(lead, l - 2)!r} apart, but a restriction must read "
+                    f"them alike from l = 6 cells on, and fails at l = {l}"
+                )
+    return bool(allowed("LLRR")), tuple(
+        (lead, tuple(_metatile(lead, l) for l in (3, 2, 1) if admits.get((lead, l))),
+         tuple(l % 2 for l in (4, 5) if admits[lead, l]))
+        for lead in leads
+    )
+
+
+_EVERY = _admitted(lambda e: True)  # the rule of a walk without a predicate
+
+
+def _candidates(cells: int, admitted: tuple) -> Iterator[str]:
+    """Every metatile of at most `cells` cells that the rule admitted (of
+    _admitted) admits, in encoding order: LLRR, then those starting LhR,
+    then those starting h, each family from the longest to the shortest (a
+    longer bifence chain sorts first).  The admitted lengths are stepped
+    through by arithmetic, so no rejected metatile is built."""
+    bifence, families = admitted
+    if bifence and cells >= 2:
         yield "LLRR"
-    for lead, shortest in (("LhR", 2), ("h", 1)):
-        for length in range(cells, shortest - 1, -1):
-            piece = _metatile(lead, length)
-            if allowed is None or allowed(piece):
+    for lead, short, parities in families:
+        if parities:  # from the longest of an admitted parity down to 4 cells
+            top = cells if cells % 2 in parities else cells - 1
+            for length in range(top, 3, -1 if len(parities) == 2 else -2):
+                yield _metatile(lead, length)
+        for piece in short:
+            if len(piece) <= 2 * cells:
                 yield piece
 
 
@@ -204,32 +240,32 @@ def _blocks(
     tails[m] of the tilings of the m <= memo cells left.  The block's
     tilings are prefix + t for t in tails, in that order.
 
-    An iterative walk over metatile sequences: a stack holds one candidate
-    iterator per metatile placed, and a forbidden metatile is never a
-    candidate, so no tiling holding one is built.  Metatiles form a
-    prefix-free code, so taking candidates in encoding order yields the
-    tilings in encoding order.  When a frame runs through its candidates,
-    the walk stores them under the frame's cell count, and later frames
-    with that count iterate the stored tuple.  Every completion of a frame
-    with m <= memo cells left is one of the tilings of an m-board, so the
-    walk builds those once, tail-first, into its memo tails[m] and hands
-    that very tuple on in place of further frames: every block with m cells
-    left shares one tails object.  Store and memo belong to this walk; the
-    store holds only counts a frame has already run through, and the memo
-    the tilings of every board of at most memo cells, about 1.6 A_memo
-    tuples (273 at the default depth), all built before the first block.  So the first block costs O(n) time and memory
-    plus the memo without allowed; with it, each of O(n) frames may reject
-    O(n) candidates of O(n) symbols before its first, O(n^3) symbol work
-    at worst.
+    An iterative walk over metatile sequences, a frame per metatile placed.
+    Candidates come from the rule _admitted reads off allowed, so no tiling
+    holding a forbidden metatile is built, and in encoding order, which
+    (metatiles being a prefix-free code) yields the tilings in encoding
+    order.  A frame takes its first candidate from a throwaway iterator and
+    keeps one only once the walk comes back to it, so a descent holds none;
+    a frame that runs through its candidates stores them under its cell
+    count, for later frames.  Every completion of a frame with m <= memo
+    cells left is an m-board tiling, so the walk builds those once,
+    tail-first, into its memo tails[m] (about 1.6 A_memo tuples, 273 at
+    the default depth, all built before the first block) and hands that
+    very tuple on in place of further frames: every block with m cells
+    left shares one tails object.  Store and memo belong to this walk.  The
+    first block costs O(n) time and memory plus the memo whenever each
+    frame's first candidate leads to a tiling, as under every restriction
+    of sequences.RESTRICTIONS.
     """
     _check_length(n)
+    admitted = _admitted(allowed)
     tails: list[tuple[tuple[str, ...], ...]] = [((),)]
 
     def tail(m: int) -> tuple[tuple[str, ...], ...]:
         for k in range(len(tails), m + 1):
             tails.append(tuple(
                 (piece, *t)
-                for piece in _candidates(k, allowed)
+                for piece in _candidates(k, admitted)
                 for t in tails[k - len(piece) // 2]
             ))
         return tails[m]
@@ -239,25 +275,30 @@ def _blocks(
         return
     store: dict[int, tuple[str, ...]] = {}
     pieces: list[str] = []
-    frames = [_candidates(n, allowed)]
-    left = n
-    while frames:
-        piece = next(frames[-1], None)
-        if piece is None:
-            frames.pop()
+    frames: list[Iterator[str] | None] = []  # None until the walk is back
+    left, later = n, None
+    piece = next(_candidates(n, admitted), None)
+    while True:
+        if piece is not None:
+            rest = left - len(piece) // 2
+            if rest > memo:
+                pieces.append(piece)
+                frames.append(later)
+                left, later = rest, None
+                piece = next(iter(store.get(left) or _candidates(left, admitted)), None)
+                continue
+            yield (*pieces, piece), tail(rest)
+        else:
             if left not in store:
-                store[left] = tuple(_candidates(left, allowed))
-            if pieces:
-                left += len(pieces.pop()) // 2
-            continue
-        rest = left - len(piece) // 2
-        if rest > memo:
-            pieces.append(piece)
-            left = rest
-            done = store.get(left)
-            frames.append(_candidates(left, allowed) if done is None else iter(done))
-            continue
-        yield (*pieces, piece), tail(rest)
+                store[left] = tuple(_candidates(left, admitted))
+            if not pieces:
+                return
+            left += len(pieces.pop()) // 2
+            later = frames.pop()
+        if later is None:  # back at a frame for its second candidate
+            later = iter(store.get(left) or _candidates(left, admitted))
+            next(later)
+        piece = next(later, None)
 
 
 def _censused(blocks: Iterable[tuple], census: Callable) -> Iterator[tuple]:

@@ -375,8 +375,3 @@ def verify(
         mode, rows = Mode.NUMERIC, ident.numeric(n_max)
     return IdentityReport(identity_id, rows[0].n, rows[-1].n, mode, tuple(rows))
 
-
-def verify_all(n_max: int, combinatorial: bool = False) -> list[IdentityReport]:
-    """Every identity numerically, then, if asked, every one combinatorially."""
-    modes = (False, True) if combinatorial else (False,)
-    return [verify(i, n_max, c) for c in modes for i in _IDENTITIES]

@@ -21,7 +21,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from operator import mul
 
-from .core import _check_length, metatile_encodings
+from .core import _admitted, _check_length
 
 
 class SequenceTable:
@@ -148,25 +148,21 @@ def sum_form(allowed: Callable[[str], bool]) -> SequenceTable:
     X_m = [m=0] + sum_l c_l X_{m-l}, where c_l counts the allowed metatiles
     of l cells.
 
-    From 3 cells up a metatile is (h | LhR), then bifences, then (h | LhR).
-    A predicate that reads only that family and the parity of l, as every
-    one in RESTRICTIONS and those of identities 1-3 (no metatile, or one)
-    do, has c_l = c_{l-2} for l >= 6, so
+    c_l is read off the rule core._admitted makes of allowed, the one the
+    walk enumerates by: LLRR, and per lead the metatiles under 4 cells and
+    the parities of the lengths from 4 cells on that it admits.  So
+    c_l = c_{l-2} for l >= 6, and
     X_m = X_{m-2} + sum_{l<=5} (c_l - c_{l-2}) X_{m-l}: an order-5
     recurrence whose first five terms come from the direct sum.  A
-    predicate with c_l != c_{l-2} for some 6 <= l <= 12 is rejected with a
-    ValueError; past 12 cells it is trusted.
+    predicate the rule cannot read raises _admitted's ValueError.
     """
-    c = [0] + [
-        sum(1 for e in metatile_encodings(l) if allowed(e)) for l in range(1, 13)
-    ]
-    for l in range(6, 13):
-        if c[l] != c[l - 2]:
-            raise ValueError(
-                f"sum_form: the predicate admits {c[l]} metatiles of {l} cells "
-                f"but {c[l - 2]} of {l - 2}; the order-5 recurrence needs "
-                f"c_l = c_(l-2) from l = 6 on, and fails at l = {l}"
-            )
+    bifence, families = _admitted(allowed)
+    c = [0, 0, int(bifence), 0, 0, 0]
+    for _, short, parities in families:
+        for piece in short:
+            c[len(piece) // 2] += 1
+        for l in (4, 5):
+            c[l] += l % 2 in parities
     x: list[int] = []
     for m in range(5):
         x.append((m == 0) + sum(c[l] * x[m - l] for l in range(1, m + 1)))
@@ -190,15 +186,11 @@ def t_via_sum_form(n: int) -> int:
     return sum_form(RESTRICTIONS["odd-metatiles"].allowed).value(n)
 
 
-#: Largest n the CLI count evaluates, and the longest board it enumerates
-#: or lists: A_n has about 0.42 n digits, and at n = 10^6 value takes 0.5 s
-#: and decimal 2.0 s (CPython 3.11.7); the walk keeps a frame per metatile,
-#: about 180 MB at 10^6 cells.
+#: Largest n the CLI count evaluates, and the longest board it enumerates,
+#: under any filter, or lists: A_n has about 0.42 n digits, and at n = 10^6
+#: value takes 0.5 s and decimal 2.0 s (CPython 3.11.7); the walk keeps a
+#: piece per metatile, about 39 MB at 10^6 cells.
 MAX_COUNT_N = 1_000_000
-
-#: Longest board the CLI enumerates under a filter: the first kept tiling
-#: costs O(n^3) (see core._blocks), 0.8 s at n = 2,000 and 1.9 s at 3,000.
-MAX_FILTERED_N = 2_000
 
 #: Longest board count_halfsquare_square enumerates; its work grows like
 #: fib(2n+1), about 3.5 million leaves at the cap.
@@ -248,28 +240,3 @@ def decimal(value: int) -> str:
         return digits(high, i - 1) + digits(low, i - 1).zfill(256 << (i - 1))
 
     return digits(value, len(powers) - 1)
-
-
-def _values(name: str, n_max: int) -> list[int]:
-    if name not in TABLES:
-        choices = ", ".join(TABLES)
-        raise ValueError(f"unknown sequence {name!r}, expected one of {choices}")
-    return TABLES[name].values(n_max)
-
-
-def sequence_csv(name: str, n_max: int) -> str:
-    """CSV export, columns n,value; values are decimal text."""
-    lines = ["n,value"]
-    lines.extend(f"{i},{decimal(v)}" for i, v in enumerate(_values(name, n_max)))
-    return "\n".join(lines) + "\n"
-
-
-def sequence_jsonl(name: str, n_max: int) -> str:
-    """JSON-lines export; values as decimal text to avoid precision loss."""
-    import json  # deferred: most processes print no JSON
-
-    lines = [
-        json.dumps({"name": name, "n": i, "value": decimal(v)})
-        for i, v in enumerate(_values(name, n_max))
-    ]
-    return "\n".join(lines) + "\n"

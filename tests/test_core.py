@@ -339,6 +339,41 @@ class TestEnumerate:
         assert peak < 32 * 2**20
         assert elapsed < 2.0
 
+    @pytest.mark.parametrize("name", RESTRICTIONS)
+    def test_first_filtered_tiling_of_a_long_board_is_lazy(self, name):
+        # the walk steps through the admitted lengths, so it builds no
+        # rejected metatile, and a descent keeps no candidate iterator: the
+        # first tiling needs O(n) time and memory under every restriction
+        allowed = RESTRICTIONS[name].allowed
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            first = next(enumerate_tilings(20_000, allowed))
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert validate(first.encoding) == first
+        assert len(first.encoding) == 40_000 and all(map(allowed, first.pieces))
+        assert elapsed < 2.0
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("name", RESTRICTIONS)
+    def test_later_candidates_are_built_lazily(self, name):
+        # under no-free-bifence the first tiling is one metatile, and its
+        # frame has about n more candidates of O(n) symbols: the next
+        # tilings take them one at a time
+        allowed = RESTRICTIONS[name].allowed
+        tracemalloc.start()
+        try:
+            tilings = list(itertools.islice(enumerate_tilings(5_000, allowed), 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tilings) == 3
+        assert [t.encoding for t in tilings] == sorted(t.encoding for t in tilings)
+        assert peak < 2**20
+
     def test_interleaved_walks_are_independent(self):
         def module_state():
             # sizes of core's containers and caches: a store shared between

@@ -12,7 +12,7 @@ from fencetiles.core import (
     metatile_encodings,
 )
 from fencetiles.bijection import cassini_audit
-from fencetiles.identities import Mode, verify, verify_all
+from fencetiles.identities import Mode, verify
 from fencetiles.sequences import TABLES, A, count_C, count_S, count_T, fib
 
 #: The identities whose combinatorial rows bin the block scan by a
@@ -694,15 +694,6 @@ class TestReportShape:
         assert "identity 1" in text
         assert "n=2" in text and "n=4" in text
         assert text.endswith("all pass")
-
-    def test_verify_all_runs_everything(self):
-        reports = verify_all(8, combinatorial=True)
-        assert len(reports) == 14  # 7 numeric, then 7 combinatorial
-        assert [(r.identity_id, r.mode) for r in reports] == [
-            (i, mode) for mode in Mode for i in range(1, 8)
-        ]
-        assert all(r.all_pass for r in reports)
-        assert verify_all(8) == reports[:7]
 
     def test_combinatorial_modes(self):
         # every identity has both modes, and the flag picks one

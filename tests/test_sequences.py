@@ -1,10 +1,11 @@
+import itertools
 import random
 import sys
 import threading
 
 import pytest
 
-from fencetiles import identities
+from fencetiles import core, identities
 from fencetiles.core import (
     count_tilings,
     decompose,
@@ -27,8 +28,6 @@ from fencetiles.sequences import (
     decimal,
     fib,
     s_via_sum_form,
-    sequence_csv,
-    sequence_jsonl,
     sum_form,
     t_via_sum_form,
 )
@@ -350,8 +349,13 @@ class TestSumFormTwins:
         ids=["at-most-4-cells", "no-multiple-of-3-cells", "only-7-cells"],
     )
     def test_a_predicate_outside_the_premise_is_rejected(self, allowed, l):
+        # sum_form and the walk read a predicate by one rule, and both
+        # refuse one the rule cannot read, even on a board too short for
+        # the metatile where it fails
         with pytest.raises(ValueError, match=rf"fails at l = {l}$"):
             sum_form(allowed)
+        with pytest.raises(ValueError, match=rf"fails at l = {l}$"):
+            next(enumerate_tilings(3, allowed))
 
     def test_the_counts_the_unchecked_table_missed(self):
         # the exhaustive counts for metatiles of at most 4 cells, where the
@@ -361,6 +365,51 @@ class TestSumFormTwins:
             for n in (6, 7, 8)
         ]
         assert counts == [163, 417, 1080]
+
+
+def built_and_filtered(cells, allowed):
+    """The candidates of a walk frame as the walk once took them: every
+    metatile of at most `cells` cells built, in encoding order, and those
+    allowed admits kept."""
+    if cells >= 2 and allowed("LLRR"):
+        yield "LLRR"
+    for lead, shortest in (("LhR", 2), ("h", 1)):
+        for length in range(cells, shortest - 1, -1):
+            piece = core._metatile(lead, length)
+            if allowed(piece):
+                yield piece
+
+
+class TestCandidateRule:
+    """core._admitted reads a predicate once into the rule that both the
+    walk's candidates and sum_form take."""
+
+    @pytest.mark.parametrize("name", sorted(PREDICATES))
+    def test_candidates_are_the_built_and_filtered_ones(self, name):
+        allowed = PREDICATES[name]
+        admitted = core._admitted(allowed)
+        for cells in range(61):
+            candidates = list(core._candidates(cells, admitted))
+            assert candidates == list(built_and_filtered(cells, allowed)), cells
+            assert candidates == sorted(
+                e for l in range(1, cells + 1) for e in metatile_encodings(l)
+                if allowed(e)
+            ), cells
+
+    @pytest.mark.parametrize("name", sorted(PREDICATES))
+    def test_the_predicate_is_read_once_per_walk(self, name):
+        # the walk asks only _admitted's probes, however long the board
+        calls = []
+
+        def counting(e):
+            calls.append(e)
+            return PREDICATES[name](e)
+
+        list(itertools.islice(enumerate_tilings(40, counting), 50))
+        probes = len(calls)
+        calls.clear()
+        core._admitted(counting)
+        assert probes == len(calls) <= 24
 
 
 class TestFilteredEnumerationOracle:
@@ -437,43 +486,6 @@ class TestHalfSquareSquare:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             count_halfsquare_square(-1)
-
-
-class TestExports:
-    def test_csv(self):
-        assert sequence_csv("A", 3) == "n,value\n0,1\n1,1\n2,4\n3,9\n"
-
-    @pytest.mark.parametrize("export", [sequence_csv, sequence_jsonl])
-    def test_unknown_name_names_the_choices(self, export):
-        with pytest.raises(ValueError, match="unknown sequence 'X', expected "
-                           "one of fib, A, S, C, T"):
-            export("X", 3)
-
-    def test_exports_print_values_beyond_the_digit_limit(self):
-        import json
-
-        # fib(3100) has 648 digits, past 640, the lowest limit CPython allows
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
-            last = json.loads(sequence_jsonl("fib", 3100).splitlines()[-1])
-            csv_tail = sequence_csv("fib", 3100).splitlines()[-1]
-            assert sys.get_int_max_str_digits() == 640
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert last["value"] == TestDecimal.by_limbs(fib(3100))
-        assert csv_tail == f"3100,{last['value']}"
-
-    def test_jsonl_values_are_decimal_text(self):
-        import json
-
-        lines = sequence_jsonl("fib", 2).splitlines()
-        records = [json.loads(line) for line in lines]
-        assert records == [
-            {"name": "fib", "n": 0, "value": "0"},
-            {"name": "fib", "n": 1, "value": "1"},
-            {"name": "fib", "n": 2, "value": "1"},
-        ]
 
 
 class TestSequenceTable:
