@@ -8,17 +8,6 @@ runs the near-bijection behind the alternating-sign identity.
 
 import gc as _gc
 
-from .bijection import (
-    AllBifenceException,
-    BijectionDomainError,
-    CassiniAudit,
-    CassiniImage,
-    TargetCopy,
-    b_inverse,
-    b_map,
-    cassini_audit,
-    cassini_partition,
-)
 from .core import (
     InvalidTilingError,
     Tiling,
@@ -46,5 +35,35 @@ from .sequences import (
 )
 
 __version__ = "0.1.0"
+
+#: The names the package takes from `bijection`, which loads on first use:
+#: no row of the CLI's command table reads it, so only the `bijection`
+#: command and identity 7's combinatorial rows pay its import.  Until it
+#: loads, __getattr__ resolves them; its import binds them here and drops
+#: __getattr__, with which CPython specializes no attribute lookup on the
+#: package (`fencetiles.has_bifence` in a loop would stay about 15% slower).
+_FROM_BIJECTION = frozenset({
+    "AllBifenceException",
+    "BijectionDomainError",
+    "CassiniAudit",
+    "CassiniImage",
+    "TargetCopy",
+    "b_inverse",
+    "b_map",
+    "cassini_audit",
+    "cassini_partition",
+})
+
+
+def __getattr__(name: str):
+    if name in _FROM_BIJECTION:
+        from . import bijection  # noqa: F401  its import binds the name here
+
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_FROM_BIJECTION})
 
 _gc.collect(1)  # walk the import's young objects now, not in the first call

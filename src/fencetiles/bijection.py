@@ -16,6 +16,7 @@ instead, so an invalid image fails it rather than raising.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
@@ -399,3 +400,10 @@ def cassini_audit(n: int) -> CassiniAudit:
     return CassiniAudit(
         n, lhs, rhs, lhs == rhs and structure_ok, side, count, structure_ok, failure
     )
+
+
+# Bind the names the package resolves through its __getattr__ until this
+# module loads, and drop that hook (see fencetiles._FROM_BIJECTION).
+_package = vars(sys.modules[__package__])
+_package.update({name: globals()[name] for name in _package["_FROM_BIJECTION"]})
+_package.pop("__getattr__", None)

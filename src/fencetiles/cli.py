@@ -17,8 +17,8 @@ import sys
 from collections.abc import Iterable
 from types import SimpleNamespace
 
-from . import bijection, identities, sequences
-from .core import enumerate_tilings, validate
+from . import core, identities, sequences
+from .core import validate
 from .render import FORMATS, render
 
 
@@ -58,26 +58,51 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _encodings(tails: tuple) -> tuple[str, ...]:
+    """The text census of a tail set: each tail's encoding."""
+    return tuple(map("".join, tails))
+
+
+def _listed(pieces: tuple[str, ...]) -> str:
+    """The metatiles as JSON strings, each led by ", "."""
+    return "".join(f', "{p}"' for p in pieces)
+
+
+def _records(tails: tuple) -> tuple[tuple[str, str], ...]:
+    """The jsonl census of a tail set: each tail's encoding and _listed
+    metatiles."""
+    return tuple(("".join(t), _listed(t)) for t in tails)
+
+
 def _cmd_enumerate(args) -> int:
+    """Write the tilings a block at a time: a line is the block's joined
+    prefix and a tail's text, the tail's made once per tail set.  A jsonl
+    line is what json.dumps writes for {"n", "encoding", "metatiles"}, as
+    encodings, over h, L and R, need no escaping.  Once --limit lines are
+    out no further block is asked for, but --limit 0 still starts the walk,
+    which rejects n < 0."""
     _at_most("enumerate", args.n, sequences.MAX_COUNT_N)
     allowed = sequences.RESTRICTIONS[args.filter].allowed
-    if args.format == "jsonl":
-        import json  # deferred: most processes print no JSON
+    jsonl = args.format == "jsonl"
+    blocks = core._censused(
+        core._blocks(args.n, allowed), _records if jsonl else _encodings
+    )
 
     def lines():
-        # not islice: --limit 0 must still start the walk, which rejects n < 0
-        for emitted, t in enumerate(enumerate_tilings(args.n, allowed)):
-            if args.limit is not None and emitted >= args.limit:
-                return
-            if args.format == "jsonl":
-                record = {
-                    "n": args.n,
-                    "encoding": t.encoding,
-                    "metatiles": list(t.pieces),
-                }
-                yield json.dumps(record)
+        left = args.limit
+        for prefix, head, tails in blocks:
+            if left is not None:
+                tails = tails[:left]
+                left -= len(tails)
+            if jsonl:
+                start = f'{{"n": {args.n}, "encoding": "{head}'
+                listed = _listed(prefix)
+                for e, m in tails:
+                    yield f'{start}{e}", "metatiles": [{(listed + m)[2:]}]}}'
             else:
-                yield t.encoding
+                yield from map(head.__add__, tails)
+            if left == 0:
+                return
 
     _write_lines(lines())
     return 0
@@ -101,6 +126,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
+    from . import bijection  # deferred: no other command runs it
+
     n = args.n
     if args.audit:
         _at_most("bijection --audit", n, bijection.MAX_AUDIT_N)

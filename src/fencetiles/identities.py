@@ -21,7 +21,6 @@ from collections.abc import Callable, Iterable
 from enum import Enum
 from itertools import accumulate, takewhile
 
-from .bijection import cassini_audit
 from .core import _blocks, _censused, _memo_depth, metatile_encodings
 from .sequences import A, C, FIB, RESTRICTIONS, S, T, Restriction, decimal, sum_form
 
@@ -332,6 +331,8 @@ def _combinatorial_row(ident: _Identity, n: int) -> IdentityRow:
     """
     board = ident.board(n)
     if ident.restriction is None:
+        from .bijection import cassini_audit  # deferred: only this row runs it
+
         audit = cassini_audit(board)
         return IdentityRow(n, audit.lhs, audit.rhs, audit.structure_ok)
     a = A.values(board)

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from fencetiles import bijection, cli, identities, sequences
+import fencetiles
+from fencetiles import bijection, cli, core, identities, sequences
 from fencetiles.cli import main
-from fencetiles.core import validate
+from fencetiles.core import enumerate_tilings, validate
 from fencetiles.sequences import count_A
 
 
@@ -22,6 +23,21 @@ def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def per_tiling_lines(n, name, fmt, limit):
+    """enumerate's output as the per-tiling path writes it, a Tiling (and
+    for jsonl a json.dumps) per line: the oracle of the per-block writer."""
+    allowed = sequences.RESTRICTIONS[name].allowed
+    tilings = itertools.islice(enumerate_tilings(n, allowed), limit)
+    if fmt == "jsonl":
+        lines = (
+            json.dumps({"n": n, "encoding": t.encoding, "metatiles": list(t.pieces)})
+            for t in tilings
+        )
+    else:
+        lines = (t.encoding for t in tilings)
+    return "".join(line + "\n" for line in lines)
 
 
 def cli_command(*argv):
@@ -200,6 +216,50 @@ class TestEnumerate:
         records = [json.loads(line) for line in out.splitlines()]
         assert records[0] == {"n": 2, "encoding": "LLRR", "metatiles": ["LLRR"]}
         assert records[-1] == {"n": 2, "encoding": "hhhh", "metatiles": ["hh", "hh"]}
+
+    def test_the_empty_board_is_one_record(self, capsys):
+        status, out, _ = run(capsys, "enumerate", "--n", "0", "--format", "jsonl")
+        assert status == 0
+        assert out == '{"n": 0, "encoding": "", "metatiles": []}\n'
+        assert json.loads(out) == {"n": 0, "encoding": "", "metatiles": []}
+
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    @pytest.mark.parametrize("n", range(11))
+    def test_matches_the_per_tiling_path(self, capsys, n, fmt):
+        for name in sequences.RESTRICTIONS:
+            for limit in (None, 0, 1, 7, 40):
+                argv = ["enumerate", "--n", str(n), "--filter", name, "--format", fmt]
+                if limit is not None:
+                    argv += ["--limit", str(limit)]
+                status, out, err = run(capsys, *argv)
+                assert (status, err) == (0, ""), argv
+                # split, so that a mismatch is reported by its first line
+                want = per_tiling_lines(n, name, fmt, limit)
+                assert out.split("\n") == want.split("\n"), argv
+
+    @pytest.mark.parametrize("name", ["none", "no-bifence"])
+    def test_limit_asks_for_no_block_beyond_it(self, capsys, monkeypatch, name):
+        # --limit k stops once k lines are out, before the walk is asked for
+        # another block; --limit 0 still starts it, for one block
+        allowed = sequences.RESTRICTIONS[name].allowed
+        sizes = [len(tails) for _, tails in core._blocks(9, allowed) if tails]
+        ends = list(itertools.accumulate(sizes))
+        assert len(ends) > 3
+        pulled = []
+        blocks = core._blocks
+
+        def counted(*args, **kwargs):
+            for block in blocks(*args, **kwargs):
+                pulled.append(block)
+                yield block
+
+        monkeypatch.setattr(core, "_blocks", counted)
+        for limit in (0, 1, ends[0], ends[0] + 1, ends[2], ends[-1]):
+            pulled.clear()
+            argv = ("enumerate", "--n", "9", "--filter", name, "--limit", str(limit))
+            assert run(capsys, *argv)[0] == 0
+            needed = next(i for i, end in enumerate(ends, 1) if end >= limit)
+            assert len(pulled) == needed, limit
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--n", "4")
@@ -605,6 +665,80 @@ class TestImport:
             capture_output=True, text=True, env=env, timeout=20,
         )
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "7921\n0 []\n")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("count", "--seq", "A", "--n", "10"),
+            ("enumerate", "--n", "4", "--format", "jsonl"),
+            ("decompose", "hLLRRh"),
+            ("render", "LhRLLRRh", "--format", "svg"),
+            ("verify", "--identity", "all", "--max-n", "12"),
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_only_the_bijection_command_loads_the_bijection(self, command):
+        # fencetiles.bijection loads on first use, and enumerate writes its
+        # JSON by hand
+        argv, env = cli_command()
+        code = (
+            "import io, sys; from fencetiles.cli import main; sys.stdout = io.StringIO(); "
+            f"status = main({list(command)!r}); sys.stdout = sys.__stdout__; "
+            "print(status, sorted({'fencetiles.bijection', 'json'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [argv[0], "-S", "-c", code],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0 []\n")
+
+    def test_the_bijection_command_loads_it(self):
+        argv, env = cli_command()
+        code = (
+            "import sys; from fencetiles.cli import main; "
+            "status = main(['bijection', '--n', '3', '--audit']); "
+            "print(status, 'fencetiles.bijection' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [argv[0], "-S", "-c", code],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 True"
+
+    def test_the_package_names_the_bijection(self):
+        names = {
+            "AllBifenceException", "BijectionDomainError", "CassiniAudit",
+            "CassiniImage", "TargetCopy", "b_inverse", "b_map", "cassini_audit",
+            "cassini_partition",
+        }
+        assert names <= set(dir(fencetiles))
+        for name in names:
+            assert getattr(fencetiles, name) is getattr(bijection, name)
+        assert fencetiles.cassini_audit is fencetiles.bijection.cassini_audit
+        with pytest.raises(AttributeError, match="no_such_name"):
+            fencetiles.no_such_name
+
+    def test_the_bijection_loads_on_first_use_and_then_drops_the_hook(self):
+        # dir names the bijection's objects before it loads, and an unknown
+        # name is still an AttributeError; its import binds them in the
+        # package and drops the package __getattr__, which would keep CPython
+        # from specializing every lookup on the package
+        argv, env = cli_command()
+        code = (
+            "import sys, fencetiles; "
+            "print('cassini_audit' in dir(fencetiles), hasattr(fencetiles, 'no_such_name'), "
+            "'fencetiles.bijection' in sys.modules, hasattr(fencetiles, '__getattr__')); "
+            "audit = fencetiles.cassini_audit; "
+            "print(audit is sys.modules['fencetiles.bijection'].cassini_audit, "
+            "'cassini_audit' in vars(fencetiles), hasattr(fencetiles, '__getattr__'))"
+        )
+        proc = subprocess.run(
+            [argv[0], "-S", "-c", code],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "True False False True\nTrue True False\n"
 
 
 def reader_pieces(arguments):
