@@ -17,11 +17,13 @@ cells; every tiling splits uniquely into metatiles at the integer cell
 boundaries no fence spans.  A Tiling holds its encoding as those metatiles,
 the one representation of a tiling here; validate builds one from an
 encoding, Tiling.from_placements from (half-cell, symbol) tile pairs.
+A restriction on metatiles is data, a Rule, which no predicate stands for.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
 from itertools import accumulate
@@ -167,44 +169,46 @@ def _metatile(lead: str, length_cells: int) -> str:
     return lead + "LLRR" * (rest // 4) + ("h" if rest % 4 == 1 else "LhR")
 
 
-def _admitted(allowed: Callable[[str], bool] | None) -> tuple:
-    """allowed (every metatile when it is None) read once into the rule of
-    the walk and sum_form: (bifence, families), whether it admits LLRR and,
-    per lead, LhR then h, (lead, the metatiles under 4 cells it admits,
-    longest first, the parities of the lengths it admits from 4 cells on).
-    A metatile other than LLRR is its lead and length, so the rule is
-    allowed if that reads a metatile of l >= 6 cells as the one of l - 2
-    with the same lead; up to 12 cells a ValueError says where it does not."""
-    if allowed is None:
-        return _EVERY
-    leads = {"LhR": 2, "h": 1}  # with the length of the shortest, in cells
-    admits = {(lead, l): bool(allowed(_metatile(lead, l)))
-              for lead, shortest in leads.items() for l in range(shortest, 13)}
-    for l in range(6, 13):
-        for lead in leads:
-            if admits[lead, l] != admits[lead, l - 2]:
-                raise ValueError(
-                    f"the predicate reads {_metatile(lead, l)!r} and "
-                    f"{_metatile(lead, l - 2)!r} apart, but a restriction must read "
-                    f"them alike from l = 6 cells on, and fails at l = {l}"
-                )
-    return bool(allowed("LLRR")), tuple(
-        (lead, tuple(_metatile(lead, l) for l in (3, 2, 1) if admits.get((lead, l))),
-         tuple(l % 2 for l in (4, 5) if admits[lead, l]))
-        for lead in leads
-    )
+class Rule(namedtuple("Rule", "bifence families")):
+    """A restriction on metatiles as data: bifence, whether it admits LLRR,
+    and families, per lead, LhR then h, (lead, the metatiles under 4 cells
+    it admits, longest first, the parities of the lengths it admits from 4
+    cells on).  A metatile other than LLRR is its lead and length
+    (_metatile), so this finite data decides every one.  Called on a
+    metatile, a rule tells whether it admits it."""
+
+    __slots__ = ()
+
+    def __call__(self, piece: str) -> bool:
+        if piece == "LLRR":
+            return self.bifence
+        _, short, parities = self.families[piece[0] == "h"]  # by the lead
+        cells = len(piece) // 2
+        return piece in short if cells < 4 else cells % 2 in parities
 
 
-_EVERY = _admitted(lambda e: True)  # the rule of a walk without a predicate
+#: The rule of a walk without a restriction: every metatile.
+_EVERY = Rule(True, (
+    ("LhR", ("LhRLhR", "LhRh"), (0, 1)),
+    ("h", ("hLLRRh", "hLhR", "hh"), (0, 1)),
+))
 
 
-def _candidates(cells: int, admitted: tuple) -> Iterator[str]:
-    """Every metatile of at most `cells` cells that the rule admitted (of
-    _admitted) admits, in encoding order: LLRR, then those starting LhR,
-    then those starting h, each family from the longest to the shortest (a
-    longer bifence chain sorts first).  The admitted lengths are stepped
-    through by arithmetic, so no rejected metatile is built."""
-    bifence, families = admitted
+def _rule(allowed: Rule | None) -> Rule:
+    """allowed, or _EVERY when it is None; anything else, a predicate say,
+    is a TypeError."""
+    if not isinstance(allowed, (Rule, type(None))):
+        raise TypeError(f"a restriction is a core.Rule, not {type(allowed).__name__}")
+    return _EVERY if allowed is None else allowed
+
+
+def _candidates(cells: int, rule: Rule) -> Iterator[str]:
+    """Every metatile of at most `cells` cells that rule admits, in encoding
+    order: LLRR, then those starting LhR, then those starting h, each
+    family from the longest to the shortest (a longer bifence chain sorts
+    first).  The admitted lengths are stepped through by arithmetic, so no
+    rejected metatile is built."""
+    bifence, families = rule
     if bifence and cells >= 2:
         yield "LLRR"
     for lead, short, parities in families:
@@ -232,16 +236,16 @@ def _memo_depth(n: int) -> int:
 
 
 def _blocks(
-    n: int, allowed: Callable[[str], bool] | None = None, memo: int = _MEMO_CELLS
+    n: int, allowed: Rule | None = None, memo: int = _MEMO_CELLS
 ) -> Iterator[tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]]:
     """Yield, in lexicographic encoding order, the tilings of an n-board
-    whose metatiles allowed admits (every tiling when it is None) by block:
-    (prefix, tails), the pieces placed so far and the walk's own memo tuple
-    tails[m] of the tilings of the m <= memo cells left.  The block's
-    tilings are prefix + t for t in tails, in that order.
+    whose metatiles the Rule allowed admits (every tiling when it is None)
+    by block: (prefix, tails), the pieces placed so far and the walk's own
+    memo tuple tails[m] of the tilings of the m <= memo cells left.  The
+    block's tilings are prefix + t for t in tails, in that order.
 
     An iterative walk over metatile sequences, a frame per metatile placed.
-    Candidates come from the rule _admitted reads off allowed, so no tiling
+    Candidates come from the rule by arithmetic (_candidates), so no tiling
     holding a forbidden metatile is built, and in encoding order, which
     (metatiles being a prefix-free code) yields the tilings in encoding
     order.  A frame takes its first candidate from a throwaway iterator and
@@ -258,14 +262,14 @@ def _blocks(
     of sequences.RESTRICTIONS.
     """
     _check_length(n)
-    admitted = _admitted(allowed)
+    rule = _rule(allowed)
     tails: list[tuple[tuple[str, ...], ...]] = [((),)]
 
     def tail(m: int) -> tuple[tuple[str, ...], ...]:
         for k in range(len(tails), m + 1):
             tails.append(tuple(
                 (piece, *t)
-                for piece in _candidates(k, admitted)
+                for piece in _candidates(k, rule)
                 for t in tails[k - len(piece) // 2]
             ))
         return tails[m]
@@ -277,7 +281,7 @@ def _blocks(
     pieces: list[str] = []
     frames: list[Iterator[str] | None] = []  # None until the walk is back
     left, later = n, None
-    piece = next(_candidates(n, admitted), None)
+    piece = next(_candidates(n, rule), None)
     while True:
         if piece is not None:
             rest = left - len(piece) // 2
@@ -285,18 +289,18 @@ def _blocks(
                 pieces.append(piece)
                 frames.append(later)
                 left, later = rest, None
-                piece = next(iter(store.get(left) or _candidates(left, admitted)), None)
+                piece = next(iter(store.get(left) or _candidates(left, rule)), None)
                 continue
             yield (*pieces, piece), tail(rest)
         else:
             if left not in store:
-                store[left] = tuple(_candidates(left, admitted))
+                store[left] = tuple(_candidates(left, rule))
             if not pieces:
                 return
             left += len(pieces.pop()) // 2
             later = frames.pop()
         if later is None:  # back at a frame for its second candidate
-            later = iter(store.get(left) or _candidates(left, admitted))
+            later = iter(store.get(left) or _candidates(left, rule))
             next(later)
         piece = next(later, None)
 
@@ -318,9 +322,7 @@ def _censused(blocks: Iterable[tuple], census: Callable) -> Iterator[tuple]:
             yield prefix, "".join(prefix), memo[key][1]
 
 
-def _walk(
-    n: int, allowed: Callable[[str], bool] | None = None
-) -> Iterator[tuple[str, ...]]:
+def _walk(n: int, allowed: Rule | None = None) -> Iterator[tuple[str, ...]]:
     """Yield once, in lexicographic encoding order, the pieces of every
     tiling of an n-board whose metatiles allowed admits (every tiling when
     it is None): the blocks of _blocks, flattened, with their first-block
@@ -334,9 +336,7 @@ def _joined(tails: tuple[tuple[str, ...], ...]) -> tuple[tuple, ...]:
     return tuple(zip(tails, map("".join, tails)))
 
 
-def enumerate_tilings(
-    n: int, allowed: Callable[[str], bool] | None = None
-) -> Iterator[Tiling]:
+def enumerate_tilings(n: int, allowed: Rule | None = None) -> Iterator[Tiling]:
     """Yield once, in lexicographic encoding order, every tiling of an
     n-board whose metatiles allowed admits (every tiling when it is None):
     the tilings of _walk, lazily, with its first-tiling cost.  A block's

@@ -2,13 +2,13 @@
 
 Each identity is one record of data with two modes: numeric (exact integer
 evaluation of both sides) and combinatorial (counting tilings).  Identities
-1-6 share one proof: condition on the last metatile a restriction forbids
-(identity 1 forbids them all).  One scan reads the board by block through
-core._censused, the block driver it shares with the Cassini audit, bins
-every tiling by the end cell and encoding of that metatile, and checks
-every bin against its predicted count, not just the totals.  Identity 7's
-proof is the Cassini near-bijection, so its combinatorial row is
-bijection.cassini_audit.
+1-6 share one proof: condition on the last metatile a restriction, a
+core.Rule, forbids (identity 1 forbids them all).  One scan reads the
+board by block through core._censused, the block driver it shares with
+the Cassini audit, bins every tiling by the end cell and encoding of that
+metatile, found by set lookup, and checks every bin against its
+predicted count, not just the totals.  Identity 7's proof is the Cassini near-bijection,
+so its combinatorial row is bijection.cassini_audit.
 
 Combinatorial mode is exhaustive, so its rows stop at the first n whose
 board is longer than MAX_ORACLE_BOARD cells.
@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterable
 from enum import Enum
 from itertools import accumulate, takewhile
 
-from .core import _blocks, _censused, _memo_depth, metatile_encodings
+from .core import Rule, _blocks, _candidates, _censused, _memo_depth, metatile_encodings
 from .sequences import A, C, FIB, RESTRICTIONS, S, T, Restriction, decimal, sum_form
 
 #: Longest board the combinatorial (exhaustive enumeration) mode will scan:
@@ -204,21 +204,21 @@ def _identity_7_rows(n_max: int) -> list[IdentityRow]:
     ]
 
 
-def _only(*pieces: str) -> Restriction:
-    """The restriction that admits exactly the given metatile pieces, with
-    the table sum_form derives for it."""
-    admits = frozenset(pieces).__contains__
-    return Restriction(sum_form(admits), admits)
+def _only(bifence: bool, h: tuple[str, ...]) -> Restriction:
+    """The restriction that admits at most LLRR and the short metatiles h
+    that start with h, with the table sum_form derives for it."""
+    rule = Rule(bifence, (("LhR", (), ()), ("h", h, ())))
+    return Restriction(sum_form(rule), rule)
 
 
 _IDENTITIES = {
     # the last metatile, ending on the last cell; X = 1, 0, 0, ...
-    1: _Identity(2, _identity_1_rows, lambda n: n - 1, _only()),
+    1: _Identity(2, _identity_1_rows, lambda n: n - 1, _only(False, ())),
     # the last fence lies in the last metatile other than hh; X = 1
-    2: _Identity(0, _identity_2_rows, lambda n: n + 2, _only("hh")),
+    2: _Identity(0, _identity_2_rows, lambda n: n + 2, _only(False, ("hh",))),
     # the last half-square lies in the last metatile other than a free
     # bifence; X = 1, 0, 1, 0, ...
-    3: _Identity(0, _identity_3_rows, lambda n: 2 * n + 1, _only("LLRR")),
+    3: _Identity(0, _identity_3_rows, lambda n: 2 * n + 1, _only(True, ())),
     # the last free bifence, metatile containing a bifence, even-length metatile
     4: _Identity(0, _identity_4_rows, lambda n: n, RESTRICTIONS["no-free-bifence"]),
     5: _Identity(0, _identity_5_rows, lambda n: n, RESTRICTIONS["no-bifence"]),
@@ -338,7 +338,9 @@ def _combinatorial_row(ident: _Identity, n: int) -> IdentityRow:
     a = A.values(board)
     expected, relevant = _predicted(ident.restriction, board, a)
     blocks = _blocks(board, None, _memo_depth(board))
-    observed, scanned, ordered = _scan(blocks, ident.restriction.allowed)
+    # the admitted pieces the board can hold, so each is one set lookup
+    admitted = frozenset(_candidates(board, ident.restriction.allowed))
+    observed, scanned, ordered = _scan(blocks, admitted.__contains__)
     binned = sum(observed.values())
     bins_ok = (
         ordered and scanned == a[board] and observed == expected and binned == relevant

@@ -10,18 +10,17 @@ floating point.  Each sequence is an immutable linear-recurrence table:
 * T    -- tilings with no even-length metatile.
 
 A, S, C and T each count the tilings one restriction admits; the
-restriction is data, a predicate on metatile encodings (RESTRICTIONS), and
+restriction is data, a core.Rule on metatiles (RESTRICTIONS), and
 sum_form derives a twin of its table from the metatile alphabet
 (conditioning on the last metatile) for cross-checking.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Callable
+from collections import Counter, namedtuple
 from operator import mul
 
-from .core import _admitted, _check_length
+from .core import _EVERY, Rule, _candidates, _check_length, _rule
 
 
 class SequenceTable:
@@ -121,9 +120,9 @@ def count_T(n: int) -> int:
 
 
 class Restriction(namedtuple("Restriction", "table allowed")):
-    """A rule on tilings as data: allowed(encoding) tells the metatile
-    encodings it admits, and table (a SequenceTable) counts the n-board
-    tilings made only of those metatiles."""
+    """A rule on tilings as data: allowed, a core.Rule, holds the metatiles
+    it admits (and, called on one, tells), and table (a SequenceTable)
+    counts the n-board tilings made only of those metatiles."""
 
     __slots__ = ()
 
@@ -132,37 +131,35 @@ class Restriction(namedtuple("Restriction", "table allowed")):
 #: one of these forbids; identities 2 and 3 on the last one other than hh,
 #: and other than LLRR, restrictions kept out of the filters.
 RESTRICTIONS = {
-    "none": Restriction(A, lambda e: True),
-    "no-free-bifence": Restriction(S, lambda e: e != "LLRR"),
-    # two interlocking fences show up exactly as adjacent left posts
-    "no-bifence": Restriction(C, lambda e: "LL" not in e),
-    # a metatile of even length 2j cells has an encoding of 4j symbols
-    "odd-metatiles": Restriction(T, lambda e: len(e) % 4 != 0),
+    "none": Restriction(A, _EVERY),
+    "no-free-bifence": Restriction(S, _EVERY._replace(bifence=False)),
+    # no two interlocking fences, so no LLRR in a metatile: none of 4 cells on
+    "no-bifence": Restriction(C, Rule(False, (
+        ("LhR", ("LhRLhR", "LhRh"), ()),
+        ("h", ("hLhR", "hh"), ()),
+    ))),
+    # the odd lengths: 1 and 3 cells by name, from 4 cells on by parity
+    "odd-metatiles": Restriction(T, Rule(False, (
+        ("LhR", ("LhRLhR",), (1,)),
+        ("h", ("hLLRRh", "hh"), (1,)),
+    ))),
 }
 
 
-def sum_form(allowed: Callable[[str], bool]) -> SequenceTable:
-    """The table of tilings made only of metatiles allowed admits, derived
-    from the metatile alphabet by conditioning on the last metatile (the
-    SEQ construction, Flajolet & Sedgewick, Analytic Combinatorics, I.2):
-    X_m = [m=0] + sum_l c_l X_{m-l}, where c_l counts the allowed metatiles
-    of l cells.
+def sum_form(allowed: Rule | None) -> SequenceTable:
+    """The table of tilings made only of metatiles the Rule allowed admits
+    (every metatile when it is None), derived from the metatile alphabet
+    by conditioning on the last metatile (the SEQ construction, Flajolet &
+    Sedgewick, Analytic Combinatorics, I.2): X_m = [m=0] + sum_l c_l
+    X_{m-l}, where c_l counts the allowed metatiles of l cells.
 
-    c_l is read off the rule core._admitted makes of allowed, the one the
-    walk enumerates by: LLRR, and per lead the metatiles under 4 cells and
-    the parities of the lengths from 4 cells on that it admits.  So
+    c_1..c_5 count the walk's own candidates of at most 5 cells.  From 4
+    cells on a rule admits a metatile by the parity of its length, so
     c_l = c_{l-2} for l >= 6, and
     X_m = X_{m-2} + sum_{l<=5} (c_l - c_{l-2}) X_{m-l}: an order-5
-    recurrence whose first five terms come from the direct sum.  A
-    predicate the rule cannot read raises _admitted's ValueError.
+    recurrence whose first five terms come from the direct sum.
     """
-    bifence, families = _admitted(allowed)
-    c = [0, 0, int(bifence), 0, 0, 0]
-    for _, short, parities in families:
-        for piece in short:
-            c[len(piece) // 2] += 1
-        for l in (4, 5):
-            c[l] += l % 2 in parities
+    c = Counter(len(piece) // 2 for piece in _candidates(5, _rule(allowed)))
     x: list[int] = []
     for m in range(5):
         x.append((m == 0) + sum(c[l] * x[m - l] for l in range(1, m + 1)))

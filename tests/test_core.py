@@ -27,8 +27,8 @@ from fencetiles.core import (
 from fencetiles.sequences import RESTRICTIONS, fib
 
 
-#: The record predicates: a metatile that is not the free bifence LLRR, and
-#: one that contains no bifence.
+#: The record rules: a metatile that is not the free bifence LLRR, and one
+#: that contains no bifence.
 NO_FREE_BIFENCE = RESTRICTIONS["no-free-bifence"].allowed
 NO_BIFENCE = RESTRICTIONS["no-bifence"].allowed
 
@@ -417,8 +417,19 @@ class TestEnumerate:
             assert t == built and hash(t) == hash(built)
 
     def test_filter_is_applied(self):
-        encs = [t.encoding for t in enumerate_tilings(2, lambda e: "h" in e)]
+        encs = [t.encoding for t in enumerate_tilings(2, NO_FREE_BIFENCE)]
         assert encs == ["LhRh", "hLhR", "hhhh"]
+
+    @pytest.mark.parametrize("walk", [core._blocks, core._walk, enumerate_tilings])
+    @pytest.mark.parametrize(
+        "allowed, kind",
+        [(lambda e: "h" in e, "function"), (tuple(NO_FREE_BIFENCE), "tuple")],
+        ids=["predicate", "bare-tuple"],
+    )
+    def test_a_restriction_that_is_no_rule_is_a_type_error(self, walk, allowed, kind):
+        # no predicate is read: the walk names the type it takes
+        with pytest.raises(TypeError, match=rf"^a restriction is a core\.Rule, not {kind}$"):
+            next(walk(2, allowed))
 
 
 class TestWalk:

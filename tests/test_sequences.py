@@ -1,4 +1,3 @@
-import itertools
 import random
 import sys
 import threading
@@ -258,19 +257,33 @@ class TestCountT:
         assert all(count_T(n) == t_via_sum_form(n) for n in range(201))
 
 
-#: The predicates of the one-metatile restrictions identities 2 and 3
-#: condition on, which RESTRICTIONS leaves out of the CLI filters.
+#: The rules of the one-metatile restrictions identities 2 and 3 condition
+#: on, which RESTRICTIONS leaves out of the CLI filters.
 ONE_METATILE = {i: identities._IDENTITIES[i].restriction.allowed for i in (2, 3)}
 
-#: The predicate of identity 1, which admits no metatile.
+#: The rule of identity 1, which admits no metatile.
 NOTHING = identities._IDENTITIES[1].restriction.allowed
 
-#: Every predicate sum_form derives a table for.
-PREDICATES = {
+#: Every shipped rule, each a core.Rule that sum_form derives a table for.
+RULES = {
     **{name: r.allowed for name, r in RESTRICTIONS.items()},
     "only-hh": ONE_METATILE[2],
     "only-LLRR": ONE_METATILE[3],
     "nothing": NOTHING,
+}
+
+#: What each rule means, as a predicate on metatile encodings written out
+#: independently of its data: the oracle the rules are checked against.
+PREDICATES = {
+    "none": lambda e: True,
+    "no-free-bifence": lambda e: e != "LLRR",
+    # two interlocking fences show up exactly as adjacent left posts
+    "no-bifence": lambda e: "LL" not in e,
+    # a metatile of even length 2j cells has an encoding of 4j symbols
+    "odd-metatiles": lambda e: len(e) % 4 != 0,
+    "nothing": lambda e: False,
+    "only-hh": lambda e: e == "hh",
+    "only-LLRR": lambda e: e == "LLRR",
 }
 
 
@@ -336,26 +349,14 @@ class TestSumFormTwins:
         assert all(c[l - 1] == c[l - 3] for l in range(6, 61))
 
     @pytest.mark.parametrize(
-        "allowed, l",
-        [
-            # metatiles of at most 4 cells: c_6 = 0 but c_4 = 2; the order-5
-            # table gave 165, 421, 1100 at n = 6..8 for 163, 417, 1080
-            (lambda e: len(e) <= 8, 6),
-            # no metatile of 3, 6, 9, ... cells: c_6 = 0 but c_4 = 2
-            (lambda e: len(e) % 6 != 0, 6),
-            # only the metatiles of 7 cells: c_7 = 2 but c_5 = 0
-            (lambda e: len(e) == 14, 7),
-        ],
-        ids=["at-most-4-cells", "no-multiple-of-3-cells", "only-7-cells"],
+        "allowed, kind",
+        [(PREDICATES["none"], "function"), (tuple(RULES["none"]), "tuple")],
+        ids=["predicate", "bare-tuple"],
     )
-    def test_a_predicate_outside_the_premise_is_rejected(self, allowed, l):
-        # sum_form and the walk read a predicate by one rule, and both
-        # refuse one the rule cannot read, even on a board too short for
-        # the metatile where it fails
-        with pytest.raises(ValueError, match=rf"fails at l = {l}$"):
+    def test_a_restriction_that_is_no_rule_is_a_type_error(self, allowed, kind):
+        # sum_form reads no predicate: it names the type it takes
+        with pytest.raises(TypeError, match=rf"^a restriction is a core\.Rule, not {kind}$"):
             sum_form(allowed)
-        with pytest.raises(ValueError, match=rf"fails at l = {l}$"):
-            next(enumerate_tilings(3, allowed))
 
     def test_the_counts_the_unchecked_table_missed(self):
         # the exhaustive counts for metatiles of at most 4 cells, where the
@@ -381,35 +382,26 @@ def built_and_filtered(cells, allowed):
 
 
 class TestCandidateRule:
-    """core._admitted reads a predicate once into the rule that both the
-    walk's candidates and sum_form take."""
+    """Each shipped core.Rule, the data both the walk's candidates and
+    sum_form take, against the predicate it stands for."""
 
-    @pytest.mark.parametrize("name", sorted(PREDICATES))
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_the_rule_is_its_predicate_up_to_60_cells(self, name):
+        rule, allowed = RULES[name], PREDICATES[name]
+        for l in range(1, 61):
+            for e in metatile_encodings(l):
+                assert rule(e) is allowed(e), e
+
+    @pytest.mark.parametrize("name", sorted(RULES))
     def test_candidates_are_the_built_and_filtered_ones(self, name):
         allowed = PREDICATES[name]
-        admitted = core._admitted(allowed)
         for cells in range(61):
-            candidates = list(core._candidates(cells, admitted))
+            candidates = list(core._candidates(cells, RULES[name]))
             assert candidates == list(built_and_filtered(cells, allowed)), cells
             assert candidates == sorted(
                 e for l in range(1, cells + 1) for e in metatile_encodings(l)
                 if allowed(e)
             ), cells
-
-    @pytest.mark.parametrize("name", sorted(PREDICATES))
-    def test_the_predicate_is_read_once_per_walk(self, name):
-        # the walk asks only _admitted's probes, however long the board
-        calls = []
-
-        def counting(e):
-            calls.append(e)
-            return PREDICATES[name](e)
-
-        list(itertools.islice(enumerate_tilings(40, counting), 50))
-        probes = len(calls)
-        calls.clear()
-        core._admitted(counting)
-        assert probes == len(calls) <= 24
 
 
 class TestFilteredEnumerationOracle:
@@ -562,9 +554,9 @@ class TestSequenceTable:
                 oracle.value(n) for n in VALUE_POINTS
             ], (initial, coefficients)
 
-    @pytest.mark.parametrize("name", sorted(PREDICATES))
+    @pytest.mark.parametrize("name", sorted(RULES))
     def test_sum_form_value_matches_its_values(self, name):
-        table = sum_form(PREDICATES[name])
+        table = sum_form(RULES[name])
         expected = table.values(VALUE_POINTS[-1])
         assert [table.value(n) for n in VALUE_POINTS] == [
             expected[n] for n in VALUE_POINTS
