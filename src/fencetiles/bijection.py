@@ -324,8 +324,9 @@ def cassini_audit(n: int) -> CassiniAudit:
 
     The sources are read by block from core._blocks: the n-board tilings,
     placed by _place, then the (n-2)-board companions, placed by
-    _companion.  All three walks, the targets' too, take the memo depth
-    core._memo_depth gives n, about half the board.  Every rewrite happens
+    _companion.  All three walks, the targets' too, share one memo, of the
+    depth core._memo_depth gives n, about half the board; each has a census
+    store of its own, as the three censuses differ.  Every rewrite happens
     at the rightmost or second-rightmost h, and a block's prefix is whole
     metatiles, so it ends in h or R, never in L.  So a tail holding an h is
     placed alike alone and after the prefix, and _preimage reads its image
@@ -351,9 +352,10 @@ def cassini_audit(n: int) -> CassiniAudit:
     def holding_h(tails):  # the target census: size, and tails holding an h
         return len(tails), sum("h" in "".join(t) for t in tails)
 
-    memo = _memo_depth(n)
+    memo, tails = _memo_depth(n), []  # one memo for the three walks
     targets = h_targets = 0
-    for _, head, (count, with_h) in _censused(_blocks(n - 1, None, memo), holding_h):
+    blocks = _blocks(n - 1, None, memo, tails)
+    for _, head, (count, with_h) in _censused(blocks, holding_h):
         targets += count
         h_targets += count if "h" in head else with_h
 
@@ -364,7 +366,7 @@ def cassini_audit(n: int) -> CassiniAudit:
         if board < 0:  # n = 1: the (-1)-board has no companion to place
             continue
         census = partial(_census, place, size - 2 * board)
-        blocks = _blocks(board, None, memo)
+        blocks = _blocks(board, None, memo, tails)
         for _, head, (counts, free, checks) in _censused(blocks, census):
             for k, count in enumerate(counts):
                 tally[k] += count

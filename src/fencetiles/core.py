@@ -231,18 +231,23 @@ def _memo_depth(n: int) -> int:
     """The memo depth the exhaustive checks of an n-board walk with: about
     half the board, so the memo's tails and the blocks that share them both
     number about sqrt(A_n) (meet in the middle, after Horowitz and Sahni,
-    JACM 1974), and never less than _MEMO_CELLS."""
+    JACM 1974), and never less than _MEMO_CELLS.  The Cassini audit walks
+    at this depth; the identity rows of one verify call, which share one
+    memo, one cell deeper (identities._combinatorial_rows)."""
     return max(_MEMO_CELLS, (n + 1) // 2)
 
 
 def _blocks(
-    n: int, allowed: Rule | None = None, memo: int = _MEMO_CELLS
+    n: int, allowed: Rule | None = None, memo: int = _MEMO_CELLS, tails=None
 ) -> Iterator[tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]]:
     """Yield, in lexicographic encoding order, the tilings of an n-board
     whose metatiles the Rule allowed admits (every tiling when it is None)
-    by block: (prefix, tails), the pieces placed so far and the walk's own
-    memo tuple tails[m] of the tilings of the m <= memo cells left.  The
-    block's tilings are prefix + t for t in tails, in that order.
+    by block: (prefix, tails), the pieces placed so far and the memo tuple
+    tails[m] of the tilings of the m <= memo cells left.  The block's
+    tilings are prefix + t for t in tails, in that order.  The memo is the
+    list tails, the walk's own when it is None; a list handed in, empty or
+    from earlier walks of the same rule, is extended in place, so those
+    walks hand on the very same tuples.
 
     An iterative walk over metatile sequences, a frame per metatile placed.
     Candidates come from the rule by arithmetic (_candidates), so no tiling
@@ -256,14 +261,14 @@ def _blocks(
     tail-first, into its memo tails[m] (about 1.6 A_memo tuples, 273 at
     the default depth, all built before the first block) and hands that
     very tuple on in place of further frames: every block with m cells
-    left shares one tails object.  Store and memo belong to this walk.  The
+    left shares one tails object.  The candidate store is this walk's.  The
     first block costs O(n) time and memory plus the memo whenever each
     frame's first candidate leads to a tiling, as under every restriction
     of sequences.RESTRICTIONS.
     """
     _check_length(n)
     rule = _rule(allowed)
-    tails: list[tuple[tuple[str, ...], ...]] = [((),)]
+    tails = [] if tails is None else tails
 
     def tail(m: int) -> tuple[tuple[str, ...], ...]:
         for k in range(len(tails), m + 1):
@@ -271,7 +276,7 @@ def _blocks(
                 (piece, *t)
                 for piece in _candidates(k, rule)
                 for t in tails[k - len(piece) // 2]
-            ))
+            ) if k else ((),))
         return tails[m]
 
     if n <= memo:
@@ -305,21 +310,23 @@ def _blocks(
         piece = next(later, None)
 
 
-def _censused(blocks: Iterable[tuple], census: Callable) -> Iterator[tuple]:
+def _censused(blocks: Iterable[tuple], census: Callable, store=None) -> Iterator[tuple]:
     """Yield (prefix, head, census(tails)) for each block (prefix, tails) of
     _blocks that holds a tiling, head being the joined prefix: the one
     block driver of enumeration and the exhaustive checks.  census reads a
-    tail set once; its result is reused only for that very tuple object,
-    never for an equal one, so a tail set that is not the walk's memo gets
-    its own.  Each memo entry holds its tails, so no other tuple takes that
-    id."""
-    memo: dict[int, tuple] = {}
+    tail set once per store, the dict of census results by tails id: this
+    driver's own when it is None, or one handed in to serve several walks
+    with the same census.  A result is reused only for that very tuple
+    object, never for an equal one, so a tail set that is not the walks'
+    memo gets its own.  Each store entry holds its tails, so no other tuple
+    takes that id while the store lives."""
+    store = {} if store is None else store
     for prefix, tails in blocks:
         if tails:
             key = id(tails)
-            if key not in memo:
-                memo[key] = tails, census(tails)
-            yield prefix, "".join(prefix), memo[key][1]
+            if key not in store:
+                store[key] = tails, census(tails)
+            yield prefix, "".join(prefix), store[key][1]
 
 
 def _walk(n: int, allowed: Rule | None = None) -> Iterator[tuple[str, ...]]:

@@ -254,6 +254,7 @@ def _predicted(restriction: Restriction, board: int, a: list[int]) -> tuple[dict
 def _scan(
     blocks: Iterable[tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]],
     allowed: Callable[[str], bool],
+    store: dict | None = None,
 ) -> tuple[dict, int, bool]:
     """Bin tilings, given as the (prefix, tails) blocks of core._blocks, by
     the (end cell, encoding) of their last metatile allowed forbids,
@@ -264,19 +265,21 @@ def _scan(
 
     The tiling prefix + t is binned by the last forbidden piece of t, or of
     prefix when t has none.  So core._censused reads each tail set into a
-    census: its size, bins keyed by end cell within the tail, the number
-    of tails with no forbidden piece, the first and last joined tail, and
-    whether the joined tails strictly increase.  Per block, the scan adds
-    the census size to the tilings scanned, checks that prefix + first tail
-    comes after the previous block's prefix + last tail, sends the tails
-    with no forbidden piece to the prefix's last forbidden piece, and counts
-    one block for the census at the prefix's cell count.  After the walk
-    it folds each census's bins in once per (census, cell count), shifted
-    by that count and times the blocks counted there: no bin is touched per
-    block, and no tiling is read one by one.
+    census that depends on allowed alone, not on the block or the board:
+    its size, the number of tails with no forbidden piece, the first and
+    last joined tail, whether the joined tails strictly increase, and bins
+    keyed by end cell within the tail.  store keeps the censuses for later
+    scans with the same allowed (core._censused).  Per block, the scan adds
+    the census size to the tilings scanned, checks the census's order and
+    that prefix + first tail comes after the previous block's prefix + last
+    tail, sends the tails with no forbidden piece to the prefix's last
+    forbidden piece, and counts one block for the census's bins at the
+    prefix's cell count.  After the walk it folds each census's bins in
+    once per cell count, shifted by that count and times the blocks counted
+    there: no bin is touched per block, and no tiling is read one by one.
     """
     observed: dict = {}
-    censuses: list = []  # (bins, in_order, shifts) per tail set
+    shifted: dict = {}  # (cell count, id of bins): [bins, blocks counted]
     prev, scanned, ordered = None, 0, True
 
     def last_forbidden(pieces: tuple[str, ...], end: int) -> tuple | None:
@@ -299,53 +302,65 @@ def _scan(
             else:
                 bins[key] = bins.get(key, 0) + 1
         in_order = all(map(str.__lt__, joined, joined[1:]))
-        shifts: dict[int, int] = {}  # blocks reading this census, by cell offset
-        censuses.append((bins, in_order, shifts))
-        return len(tails), free, joined[0], joined[-1], shifts
+        return len(tails), free, joined[0], joined[-1], in_order, bins
 
-    for prefix, head, (size, free, first, last, shifts) in _censused(blocks, census):
+    for prefix, head, counted in _censused(blocks, census, store):
+        size, free, first, last, in_order, bins = counted
         scanned += size
-        if prev is not None and head + first <= prev:
+        if not in_order or prev is not None and head + first <= prev:
             ordered = False
         prev = head + last
-        shift = len(head) // 2
-        shifts[shift] = shifts.get(shift, 0) + 1
+        shifted.setdefault((len(head) // 2, id(bins)), [bins, 0])[1] += 1
         if free:
             key = last_forbidden(prefix, len(head))
             if key is not None:
                 observed[key] = observed.get(key, 0) + free
-    for bins, in_order, shifts in censuses:
-        ordered = ordered and in_order
-        for shift, blocks_at in shifts.items():
-            for (k, piece), count in bins.items():
-                key = k + shift, piece
-                observed[key] = observed.get(key, 0) + count * blocks_at
+    for (shift, _), (bins, blocks_at) in shifted.items():
+        for (k, piece), count in bins.items():
+            key = k + shift, piece
+            observed[key] = observed.get(key, 0) + count * blocks_at
     return observed, scanned, ordered
 
 
-def _combinatorial_row(ident: _Identity, n: int) -> IdentityRow:
-    """Bin every tiling of board(n).  The row passes when every tiling was
-    scanned once, every bin holds its predicted count, no other bin occurs,
-    and the bins hold the predicted total.  With no restriction (identity
-    7) the row is the audit's two sides, passing when its structure holds.
-    """
-    board = ident.board(n)
-    if ident.restriction is None:
-        from .bijection import cassini_audit  # deferred: only this row runs it
+def _combinatorial_rows(ident: _Identity, ns: Iterable[int]) -> list[IdentityRow]:
+    """Bin every tiling of board(n), for each n of ns.  A row passes when
+    every tiling was scanned once, every bin holds its predicted count, no
+    other bin occurs, and the bins hold the predicted total.  With no
+    restriction (identity 7) a row is the audit's two sides, passing when
+    its structure holds.
 
-        audit = cassini_audit(board)
-        return IdentityRow(n, audit.lhs, audit.rhs, audit.structure_ok)
-    a = A.values(board)
-    expected, relevant = _predicted(ident.restriction, board, a)
-    blocks = _blocks(board, None, _memo_depth(board))
-    # the admitted pieces the board can hold, so each is one set lookup
-    admitted = frozenset(_candidates(board, ident.restriction.allowed))
-    observed, scanned, ordered = _scan(blocks, admitted.__contains__)
-    binned = sum(observed.values())
-    bins_ok = (
-        ordered and scanned == a[board] and observed == expected and binned == relevant
-    )
-    return IdentityRow(n, binned, sum(expected.values()), bins_ok)
+    The tail sets of the walk and their censuses are the same in every row,
+    so the rows share one memo and one census store: each tail set is built
+    and censused once per call.  The memo is one cell deeper than
+    core._memo_depth gives the longest board: paid once per call, not once
+    per row, the memo side of the meet in the middle costs less, so the
+    balance moves deeper (on the 13- and 14-boards, two cells deeper gains
+    nothing more).  The admitted set is built once, from the longest board:
+    a piece of l cells is a candidate on every board of at least l cells
+    exactly when the rule admits it.  Each piece is then one lookup.
+    """
+    ns = list(ns)
+    boards = list(map(ident.board, ns))
+    if ident.restriction is None:
+        from .bijection import cassini_audit  # deferred: only these rows run it
+
+        audits = zip(ns, map(cassini_audit, boards))
+        return [IdentityRow(n, x.lhs, x.rhs, x.structure_ok) for n, x in audits]
+    top = max(boards)
+    a = A.values(top)
+    memo, tails, store = _memo_depth(top) + 1, [], {}
+    admitted = frozenset(_candidates(top, ident.restriction.allowed)).__contains__
+    rows = []
+    for n, board in zip(ns, boards):
+        expected, relevant = _predicted(ident.restriction, board, a)
+        blocks = _blocks(board, None, memo, tails)
+        observed, scanned, ordered = _scan(blocks, admitted, store)
+        binned = sum(observed.values())
+        bins_ok = ordered and scanned == a[board] and (
+            observed == expected and binned == relevant
+        )
+        rows.append(IdentityRow(n, binned, sum(expected.values()), bins_ok))
+    return rows
 
 
 def verify(
@@ -363,13 +378,9 @@ def verify(
         raise ValueError(f"identity {identity_id} needs n_max >= {ident.n_min}")
     if combinatorial:
         mode = Mode.COMBINATORIAL
-        rows = [
-            _combinatorial_row(ident, n)
-            for n in takewhile(
-                lambda n: ident.board(n) <= MAX_ORACLE_BOARD,
-                range(ident.n_min, n_max + 1),
-            )
-        ]
+        rows = _combinatorial_rows(ident, takewhile(
+            lambda n: ident.board(n) <= MAX_ORACLE_BOARD, range(ident.n_min, n_max + 1)
+        ))
     elif n_max > MAX_NUMERIC_N:
         raise ValueError(
             f"numeric mode: n_max must be at most {MAX_NUMERIC_N}, got {n_max}"

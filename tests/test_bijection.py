@@ -346,16 +346,17 @@ class TestAuditOracle:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_equals_per_source_audit_at_every_memo_depth(self, monkeypatch, n):
-        # the audit walks its three boards with one memo depth, the one its
+        # the audit walks its three boards with one memo, of the depth its
         # rule gives for n; at each depth the blocks differ, the audit not
         expected = per_source_audit(n)
         real = bijection._blocks
         for depth in range(core._MEMO_CELLS, 10):
-            walked = []
+            walked, shared = [], []
 
-            def blocks(board, allowed=None, memo=core._MEMO_CELLS):
+            def blocks(board, allowed=None, memo=core._MEMO_CELLS, tails=None):
                 walked.append(memo)
-                return real(board, allowed, memo)
+                shared.append(tails)
+                return real(board, allowed, memo, tails)
 
             with monkeypatch.context() as m:
                 m.setattr(bijection, "_memo_depth", lambda board: depth)
@@ -364,6 +365,22 @@ class TestAuditOracle:
             assert audit == expected, depth
             assert audit.failure is None
             assert walked == [depth] * (3 if n >= 2 else 2)
+            assert all(tails is shared[0] for tails in shared)
+
+    def test_one_memo_for_the_three_walks_changes_no_audit(self, monkeypatch):
+        # each walk with a memo of its own, as before the walks shared one:
+        # the same audits up to the CLI's largest board, failure included
+        shared = [cassini_audit(n) for n in range(1, bijection.MAX_AUDIT_N + 1)]
+        real = bijection._blocks
+
+        def blocks(board, allowed=None, memo=core._MEMO_CELLS, tails=None):
+            return real(board, allowed, memo)
+
+        monkeypatch.setattr(bijection, "_blocks", blocks)
+        for n, audit in enumerate(shared, 1):
+            alone = cassini_audit(n)
+            assert (audit, audit.failure) == (alone, alone.failure), n
+            assert audit.balanced and audit.failure is None
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_sources_in_order(self, n):
@@ -608,8 +625,8 @@ class TestAuditFaults:
         real = bijection._blocks
         for fault in (duplicated, dropped):
 
-            def blocks(board, allowed=None, memo=core._MEMO_CELLS):
-                walk = real(board, allowed, memo)
+            def blocks(board, allowed=None, memo=core._MEMO_CELLS, tails=None):
+                walk = real(board, allowed, memo, tails)
                 return fault(list(walk)) if board == n else walk
 
             with monkeypatch.context() as m:
@@ -629,8 +646,8 @@ class TestAuditFaults:
         # all-bifence (n-1)-board target trips coverage first (checked below)
         real = bijection._blocks
 
-        def blocks(board, allowed=None, memo=core._MEMO_CELLS):
-            for prefix, tails in real(board, allowed, memo):
+        def blocks(board, allowed=None, memo=core._MEMO_CELLS, shared=None):
+            for prefix, tails in real(board, allowed, memo, shared):
                 if board == n and "h" not in "".join(prefix):
                     tails = tuple(t for t in tails if "h" in "".join(t))
                 yield prefix, tails

@@ -493,6 +493,23 @@ class TestWalk:
                 flat += [prefix + t for t in tails]
             assert flat == walk, depth
 
+    @pytest.mark.parametrize("name", RESTRICTIONS)
+    def test_walks_handed_one_memo_share_its_tuples(self, name):
+        # a memo list handed to several walks of one rule is extended in
+        # place: each walk is its own walk, and every block with m cells
+        # left, in any of them, carries the one tuple tails[m]
+        allowed = RESTRICTIONS[name].allowed
+        shared = []
+        for n in (9, 3, 12, 0, 10):
+            flat = []
+            for prefix, tails in core._blocks(n, allowed, 7, shared):
+                m = n - len("".join(prefix)) // 2
+                assert tails is shared[m]
+                flat += [prefix + t for t in tails]
+            assert flat == list(core._walk(n, allowed)), n
+        assert len(shared) == 8
+        assert shared == [tuple(core._walk(m, allowed)) for m in range(8)]
+
     def test_the_depth_rule_deepens_the_memo_from_13_cells(self):
         # the exhaustive checks walk with about half the board, enumeration
         # with the default
@@ -535,6 +552,18 @@ class TestCensused:
         driven = list(core._censused(blocks, self.counting(calls)))
         assert [entry for _, _, entry in driven] == [(1,), (2,), (1,)]
         assert calls[0] is tails and calls[1] is copy
+
+    def test_a_store_handed_in_serves_later_walks(self):
+        # the store outlives one driver: a tail set censused once is not
+        # censused again by a later driver handed the same store, and it
+        # holds every tail set, so no other tuple is handed a stale census
+        blocks = list(core._blocks(12))
+        calls, store = [], {}
+        first = list(core._censused(blocks, self.counting(calls), store))
+        again = list(core._censused(blocks, self.counting(calls), store))
+        assert again == first
+        assert len(calls) == len(store) == len({id(tails) for _, tails in blocks})
+        assert all(store[id(tails)][0] is tails for _, tails in blocks)
 
     def test_a_block_with_no_tails_is_not_yielded(self):
         calls = []

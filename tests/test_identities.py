@@ -352,8 +352,9 @@ class TestCountedOnce:
     def patched(monkeypatch, rewrite):
         real = identities._blocks
 
-        def _blocks(n, allowed=None, memo=core._MEMO_CELLS):
-            tilings = [p + t for p, tails in real(n, allowed, memo) for t in tails]
+        def _blocks(n, allowed=None, memo=core._MEMO_CELLS, tails=None):
+            walk = real(n, allowed, memo, tails)
+            tilings = [p + t for p, ts in walk for t in ts]
             return iter(as_blocks(rewrite(tilings)))
 
         monkeypatch.setattr(identities, "_blocks", _blocks)
@@ -547,19 +548,37 @@ class TestBlockScan:
         expected = reference_scan((p + t for p, ts in blocks for t in ts), allowed)
         assert identities._scan(blocks, allowed) == expected
 
-    def test_rows_walk_at_the_depth_rule(self, monkeypatch):
-        # every scanned board is walked with the memo core._memo_depth gives
-        # it: 6 cells up to the 12-board, 7 on the 13- and 14-boards
+    @pytest.mark.parametrize("ident", SCANNED)
+    def test_unlike_tail_sets_after_prefixes_of_one_length(self, ident):
+        # the walk hands one tail set on after every prefix of one length;
+        # unlike tail sets there must each have their own bins folded in
+        allowed = identities._IDENTITIES[ident].restriction.allowed
+        whole = tuple(core._walk(4))
+        unlike = (whole, whole[1:], whole[:-1])
+        blocks = [(p, tails) for p in core._walk(2) for tails in unlike]
+        expected = reference_scan((p + t for p, ts in blocks for t in ts), allowed)
+        assert identities._scan(blocks, allowed) == expected
+
+    @pytest.mark.parametrize("n_max, depth", [(6, 7), (12, 7), (13, 8), (14, 8)])
+    def test_rows_walk_at_the_depth_rule(self, monkeypatch, n_max, depth):
+        # every board of one call is walked at one memo depth, one cell
+        # deeper than core._memo_depth gives its longest board, and every
+        # walk extends the same memo list
         real, walked = identities._blocks, []
 
-        def _blocks(n, allowed=None, memo=core._MEMO_CELLS):
-            walked.append((n, memo))
-            return real(n, allowed, memo)
+        def _blocks(n, allowed=None, memo=core._MEMO_CELLS, tails=None):
+            walked.append((n, memo, tails))
+            return real(n, allowed, memo, tails)
 
         monkeypatch.setattr(identities, "_blocks", _blocks)
-        assert verify(4, 14, combinatorial=True).all_pass
-        assert walked == [(n, core._memo_depth(n)) for n in range(15)]
-        assert {n: memo for n, memo in walked if memo > 6} == {13: 7, 14: 7}
+        assert verify(4, n_max, combinatorial=True).all_pass
+        assert depth == core._memo_depth(n_max) + 1
+        assert [(n, memo) for n, memo, _ in walked] == [
+            (n, depth) for n in range(n_max + 1)
+        ]
+        shared = walked[0][2]
+        assert all(tails is shared for *_, tails in walked)
+        assert len(shared) == min(n_max, depth) + 1  # tails[0..depth]
 
     @pytest.mark.parametrize("ident", SCANNED)
     def test_fresh_copies_of_every_tail_set_pass(self, ident):
@@ -576,8 +595,9 @@ class TestBlockFaults:
     """A fault in the block stream fails its row: a tail duplicated in or
     dropped from a tail set, two blocks swapped, and a block whose tail set
     is a fresh tuple, as long as the memo it replaces, holding one tail
-    twice.  The rows read the 9-board, which the walk hands on in blocks
-    with m <= _MEMO_CELLS cells left."""
+    twice.  The rows read the 9-board, the longest of their call, which the
+    walk hands on in blocks with m <= 7 cells left, the depth the call's
+    memo takes."""
 
     ROW = {1: 10, 2: 7, 3: 4, 4: 9, 5: 9, 6: 9}  # n with board(n) = 9
 
@@ -585,8 +605,8 @@ class TestBlockFaults:
     def faulty_row(monkeypatch, ident, rewrite):
         real = identities._blocks
 
-        def _blocks(n, allowed=None, memo=core._MEMO_CELLS):
-            blocks = list(real(n, allowed, memo))
+        def _blocks(n, allowed=None, memo=core._MEMO_CELLS, tails=None):
+            blocks = list(real(n, allowed, memo, tails))
             return iter(rewrite(blocks) if n == 9 else blocks)
 
         monkeypatch.setattr(identities, "_blocks", _blocks)
@@ -642,6 +662,109 @@ class TestBlockFaults:
 
         row = self.faulty_row(monkeypatch, ident, rewrite)
         assert not row.bins_ok
+
+
+def per_row_rows(ident: int, ns) -> list:
+    """Combinatorial rows built one at a time, each its own walk, at the
+    depth core._memo_depth gives its board, and its own scan, with the
+    pieces its board can hold as the admitted set: the oracle of the rows
+    one call builds on one memo and one census store."""
+    record = identities._IDENTITIES[ident]
+    rows = []
+    for n in ns:
+        board = record.board(n)
+        a = A.values(board)
+        expected, relevant = identities._predicted(record.restriction, board, a)
+        admitted = frozenset(core._candidates(board, record.restriction.allowed))
+        blocks = core._blocks(board, None, core._memo_depth(board))
+        observed, scanned, ordered = identities._scan(blocks, admitted.__contains__)
+        binned = sum(observed.values())
+        bins_ok = ordered and scanned == a[board] and (
+            observed == expected and binned == relevant
+        )
+        rows.append(identities.IdentityRow(n, binned, sum(expected.values()), bins_ok))
+    return rows
+
+
+class TestPerCallRows:
+    """One combinatorial verify call walks one memo and censuses each tail
+    set once; its rows must be those built one at a time, and a fault in
+    one row must fail that row alone."""
+
+    @pytest.mark.parametrize("ident", SCANNED)
+    def test_equal_the_rows_built_one_at_a_time(self, ident):
+        n_min = identities._IDENTITIES[ident].n_min
+        last = LAST_COMBINATORIAL_N[ident]
+        expected = per_row_rows(ident, range(n_min, last + 1))
+        assert all(row.passed for row in expected)
+        for n_max in range(n_min, last + 1):
+            rows = verify(ident, n_max, combinatorial=True).rows
+            assert rows == tuple(expected[: n_max - n_min + 1]), n_max
+
+    def test_each_tail_set_is_censused_once_per_call(self, monkeypatch):
+        # built a row at a time, every row censuses its own copy of the
+        # same tail sets; one call censuses each of them once
+        real, handed, runs = identities._censused, {}, []
+
+        def _censused(blocks, census, store=None):
+            def seen():
+                for prefix, tails in blocks:
+                    handed[id(tails)] = tails
+                    yield prefix, tails
+
+            def counted(tails):
+                runs.append(tails)
+                return census(tails)
+
+            return real(seen(), counted, store)
+
+        monkeypatch.setattr(identities, "_censused", _censused)
+        assert verify(4, 14, combinatorial=True).all_pass
+        distinct = set(handed.values())  # equal tail sets count once
+        assert len(runs) == len(distinct) == len(handed) > 1
+        assert set(runs) == distinct
+
+    def test_a_fresh_tail_set_in_a_middle_row_fails_that_row_alone(
+        self, monkeypatch
+    ):
+        # the 11-board's last block gets a fresh tuple as long as the memo
+        # tuple it replaces, which an earlier row censused, its last tail
+        # replaced by the one before it: the call-long store must give it a
+        # census of its own, and the later rows their memo's
+        real, earlier = identities._blocks, set()
+
+        def _blocks(n, allowed=None, memo=core._MEMO_CELLS, tails=None):
+            blocks = list(real(n, allowed, memo, tails))
+            if n == 11:
+                prefix, last = blocks[-1]
+                assert id(last) in earlier
+                fresh = last[:-1] + last[-2:-1]
+                assert len(fresh) == len(last) and fresh != last
+                blocks[-1] = prefix, fresh
+            else:
+                earlier.update(id(ts) for _, ts in blocks)
+            return iter(blocks)
+
+        monkeypatch.setattr(identities, "_blocks", _blocks)
+        report = verify(4, 14, combinatorial=True)
+        assert [r.n for r in report.rows] == list(range(15))
+        assert [r.n for r in report.rows if not r.passed] == [11]
+
+
+class TestLongBoards:
+    """The per-call rows on boards beyond MAX_ORACLE_BOARD, each row its
+    own call: identity 4 on the 20-board, about 1.2e8 tilings, and
+    identities 2, 5 and 6 on the 16-board."""
+
+    @pytest.mark.parametrize("ident, board", [(4, 20), (2, 16), (5, 16), (6, 16)])
+    def test_row_passes(self, ident, board):
+        record = identities._IDENTITIES[ident]
+        n = next(n for n in count(record.n_min) if record.board(n) == board)
+        (row,) = identities._combinatorial_rows(record, [n])
+        assert row.passed
+        table = record.restriction.table
+        # every tiling is binned but those the restriction admits throughout
+        assert row.lhs == A.values(board)[board] - table.values(board)[board]
 
 
 class TestNumericBound:
