@@ -559,11 +559,19 @@ class TestBlockScan:
         expected = reference_scan((p + t for p, ts in blocks for t in ts), allowed)
         assert identities._scan(blocks, allowed) == expected
 
-    @pytest.mark.parametrize("n_max, depth", [(6, 7), (12, 7), (13, 8), (14, 8)])
-    def test_rows_walk_at_the_depth_rule(self, monkeypatch, n_max, depth):
-        # every board of one call is walked at one memo depth, one cell
-        # deeper than core._memo_depth gives its longest board, and every
-        # walk extends the same memo list
+    def test_rows_walk_at_the_depth_rule(self, monkeypatch):
+        # the 14-board call: every board is walked with an 8-cell memo
+        self.check_one_depth_one_memo(monkeypatch, 14, 8)
+
+    @pytest.mark.parametrize("n_max, depth", [(6, 7), (12, 7), (13, 8)])
+    def test_shorter_calls_walk_at_the_depth_rule(self, monkeypatch, n_max, depth):
+        self.check_one_depth_one_memo(monkeypatch, n_max, depth)
+
+    @staticmethod
+    def check_one_depth_one_memo(monkeypatch, n_max, depth):
+        """Every board of one call is walked at one memo depth, one cell
+        deeper than core._memo_depth gives its longest board, and every
+        walk extends the same memo list."""
         real, walked = identities._blocks, []
 
         def _blocks(n, allowed=None, memo=core._MEMO_CELLS, tails=None):
