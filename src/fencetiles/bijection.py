@@ -319,6 +319,10 @@ def _block_fault(head: str, checks: tuple, place, size: int) -> str | None:
     return None
 
 
+def _holding_h(tails) -> tuple[int, int]:  # the targets' census: size, with an h
+    return len(tails), sum("h" in "".join(t) for t in tails)
+
+
 def cassini_audit(n: int) -> CassiniAudit:
     """Exhaustively audit the near-bijection at board length n >= 1.
 
@@ -326,7 +330,8 @@ def cassini_audit(n: int) -> CassiniAudit:
     placed by _place, then the (n-2)-board companions, placed by
     _companion.  All three walks, the targets' too, share one memo, of the
     depth core._memo_depth gives n, about half the board; each has a census
-    store of its own, as the three censuses differ.  Every rewrite happens
+    store of its own, as the three censuses differ (_audit shares them
+    between boards, as a census reads its tails alone).  Every rewrite happens
     at the rightmost or second-rightmost h, and a block's prefix is whole
     metatiles, so it ends in h or R, never in L.  So a tail holding an h is
     placed alike alone and after the prefix, and _preimage reads its image
@@ -346,16 +351,18 @@ def cassini_audit(n: int) -> CassiniAudit:
     that fails.  Memory is O(n) plus the walk's memo, about 1.6 A_d tails
     at depth d, and one census per tail set.
     """
+    return _audit(n, _memo_depth(n), [], {})
+
+
+def _audit(n: int, memo: int, tails: list, stores: dict) -> CassiniAudit:
+    """cassini_audit(n) on the memo list tails, of depth memo (core._blocks),
+    with a census store per role in stores, keyed by its census's rule."""
     if n < 1:
         raise ValueError("audit needs n >= 1")
-
-    def holding_h(tails):  # the target census: size, and tails holding an h
-        return len(tails), sum("h" in "".join(t) for t in tails)
-
-    memo, tails = _memo_depth(n), []  # one memo for the three walks
+    role = stores.setdefault  # the census store of a role
     targets = h_targets = 0
     blocks = _blocks(n - 1, None, memo, tails)
-    for _, head, (count, with_h) in _censused(blocks, holding_h):
+    for _, head, (count, with_h) in _censused(blocks, _holding_h, role(_holding_h, {})):
         targets += count
         h_targets += count if "h" in head else with_h
 
@@ -366,8 +373,8 @@ def cassini_audit(n: int) -> CassiniAudit:
         if board < 0:  # n = 1: the (-1)-board has no companion to place
             continue
         census = partial(_census, place, size - 2 * board)
-        blocks = _blocks(board, None, memo, tails)
-        for _, head, (counts, free, checks) in _censused(blocks, census):
+        blocks = _censused(_blocks(board, None, memo, tails), census, role(place, {}))
+        for _, head, (counts, free, checks) in blocks:
             for k, count in enumerate(counts):
                 tally[k] += count
             if failure is None:

@@ -12,6 +12,7 @@ usage, input or I/O errors.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections.abc import Iterable
@@ -276,6 +277,8 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
 
 
 def main(argv: Iterable[str] | None = None) -> int:
+    """Run a command line (sys.argv[1:] when argv is None) and return its exit
+    status, leaving the garbage collector alone: only `run` freezes it."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_plain(argv)
     if args is None:
@@ -296,5 +299,16 @@ def main(argv: Iterable[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry, of `python -m fencetiles.cli` and the `fencetiles`
+    script: run main, then exit with its status."""
+    status = main()
+    # the exit collections walk every tracked object to free each cycle just
+    # before the OS reclaims the heap, and skip frozen ones; unlike os._exit,
+    # exit still flushes stdout and stderr and runs the atexit handlers
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

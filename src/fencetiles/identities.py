@@ -330,25 +330,26 @@ def _combinatorial_rows(ident: _Identity, ns: Iterable[int]) -> list[IdentityRow
     its structure holds.
 
     The tail sets of the walk and their censuses are the same in every row,
-    so the rows share one memo and one census store: each tail set is built
-    and censused once per call.  The memo is one cell deeper than
-    core._memo_depth gives the longest board: paid once per call, not once
-    per row, the memo side of the meet in the middle costs less, so the
-    balance moves deeper (on the 13- and 14-boards, two cells deeper gains
-    nothing more).  The admitted set is built once, from the longest board:
-    a piece of l cells is a candidate on every board of at least l cells
-    exactly when the rule admits it.  Each piece is then one lookup.
+    so the rows share one memo and one census store (the audits one per
+    role): each tail set is built and censused once per call.  The memo is
+    one cell deeper than core._memo_depth gives the longest board: paid
+    once per call, not once per row, the memo side of the meet in the
+    middle costs less, so the balance moves deeper, for the audits too (on
+    the 13- and 14-boards, two cells deeper gains nothing more).  The
+    admitted set is built once, from the longest board: a piece of l cells
+    is a candidate on every board of at least l cells exactly when the
+    rule admits it.  Each piece is then one lookup.
     """
     ns = list(ns)
     boards = list(map(ident.board, ns))
-    if ident.restriction is None:
-        from .bijection import cassini_audit  # deferred: only these rows run it
-
-        audits = zip(ns, map(cassini_audit, boards))
-        return [IdentityRow(n, x.lhs, x.rhs, x.structure_ok) for n, x in audits]
     top = max(boards)
-    a = A.values(top)
     memo, tails, store = _memo_depth(top) + 1, [], {}
+    if ident.restriction is None:
+        from .bijection import _audit  # deferred: only these rows run it
+
+        audits = zip(ns, (_audit(b, memo, tails, store) for b in boards))
+        return [IdentityRow(n, x.lhs, x.rhs, x.structure_ok) for n, x in audits]
+    a = A.values(top)
     admitted = frozenset(_candidates(top, ident.restriction.allowed)).__contains__
     rows = []
     for n, board in zip(ns, boards):

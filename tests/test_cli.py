@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import itertools
 import json
@@ -739,6 +740,95 @@ class TestImport:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "True False False True\nTrue True False\n"
+
+
+#: The probe of a process's exit: atexit handlers run after the process
+#: entry returns and before the interpreter's exit collections.
+FREEZE_PROBE = (
+    "import atexit, gc, sys; "
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+    "sys.argv[1:] = {argv!r}; "
+)
+
+
+class TestProcessEntry:
+    """A CLI process freezes its heap once its command is done, so the
+    interpreter's exit collections skip it; main, which tests, the
+    benchmark and library callers run in process, leaves the collector
+    alone."""
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (("count", "--seq", "A", "--n", "10"), 0),
+            (("enumerate", "--n", "4", "--format", "jsonl"), 0),
+            (("decompose", "hLLRRh"), 0),
+            (("verify", "--identity", "7", "--max-n", "6", "--combinatorial"), 0),
+            (("bijection", "--n", "6", "--audit"), 0),
+            (("render", "LhRLLRRh", "--format", "svg"), 0),
+            (("count", "--seq", "A"), 2),  # a usage error: argparse exits
+            (("render", "LLX"), 2),  # a ValueError
+        ],
+        ids=lambda value: value[0] if isinstance(value, tuple) else str(value),
+    )
+    def test_main_never_freezes(self, capsys, argv, status):
+        before = gc.get_freeze_count()
+        assert run(capsys, *argv)[0] == status
+        assert gc.get_freeze_count() == before
+
+    @staticmethod
+    def script_target() -> str:
+        """The installed script's entry, read from pyproject.toml as text
+        (tomllib is not in Python 3.10)."""
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        table = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        (target,) = re.findall(r'^fencetiles = "([\w.:]+)"$', table, re.MULTILINE)
+        return target
+
+    def test_the_installed_script_runs_the_process_entry(self):
+        assert self.script_target() == "fencetiles.cli:run"
+
+    @pytest.mark.parametrize(
+        "argv, status, out, err",
+        [
+            (["count", "--seq", "A", "--n", "10"], 0, "7921\n", ""),
+            (["render", "LLX"], 2, "", "error: encoding length 3 is odd\n"),
+            (["count", "--seq", "A"], 2, "", "the following arguments are required"),
+        ],
+        ids=["pass", "input-error", "usage-error"],
+    )
+    @pytest.mark.parametrize("entry", ["__main__", "script", "main"])
+    def test_the_process_entry_freezes(self, argv, status, out, err, entry):
+        # as `python -m fencetiles.cli`, as the installed script calls its
+        # target, and, as the control, main alone
+        module, _, name = self.script_target().partition(":")
+        code = FREEZE_PROBE.format(argv=argv) + {
+            "__main__": "import runpy; runpy.run_module('fencetiles.cli', "
+            "run_name='__main__')",
+            "script": f"import {module}; sys.exit({module}.{name}())",
+            "main": "import fencetiles.cli; sys.exit(fencetiles.cli.main())",
+        }[entry]
+        python, env = cli_command()
+        proc = subprocess.run(
+            [python[0], "-c", code], capture_output=True, text=True, env=env, timeout=20
+        )
+        assert proc.returncode == status
+        assert proc.stdout == f"{out}frozen {entry != 'main'}\n"
+        assert err in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("fmt", ["ascii", "svg"])
+    def test_a_file_written_by_the_process_is_whole(self, tmp_path, fmt):
+        # a frozen heap is never collected, so no finalizer may be what
+        # closes a file: the process must close --out itself
+        target = tmp_path / f"tiling.{fmt}"
+        argv, env = cli_command("render", "LhRLLRRhhh", "--format", fmt)
+        to_file = subprocess.run(
+            [*argv, "--out", str(target)], capture_output=True, env=env, timeout=20
+        )
+        to_stdout = subprocess.run(argv, capture_output=True, env=env, timeout=20)
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+        assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+        assert target.read_bytes() == to_stdout.stdout != b""
 
 
 def reader_pieces(arguments):

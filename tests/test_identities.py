@@ -4,7 +4,7 @@ from itertools import accumulate, count, takewhile
 
 import pytest
 
-from fencetiles import core, identities
+from fencetiles import bijection, core, identities
 from fencetiles.core import (
     count_tilings,
     enumerate_tilings,
@@ -675,12 +675,17 @@ class TestBlockFaults:
 def per_row_rows(ident: int, ns) -> list:
     """Combinatorial rows built one at a time, each its own walk, at the
     depth core._memo_depth gives its board, and its own scan, with the
-    pieces its board can hold as the admitted set: the oracle of the rows
-    one call builds on one memo and one census store."""
+    pieces its board can hold as the admitted set, or for identity 7 its
+    own cassini_audit: the oracle of the rows one call builds on one memo
+    and one census store (per audit role)."""
     record = identities._IDENTITIES[ident]
     rows = []
     for n in ns:
         board = record.board(n)
+        if record.restriction is None:
+            x = cassini_audit(board)
+            rows.append(identities.IdentityRow(n, x.lhs, x.rhs, x.structure_ok))
+            continue
         a = A.values(board)
         expected, relevant = identities._predicted(record.restriction, board, a)
         admitted = frozenset(core._candidates(board, record.restriction.allowed))
@@ -699,7 +704,7 @@ class TestPerCallRows:
     set once; its rows must be those built one at a time, and a fault in
     one row must fail that row alone."""
 
-    @pytest.mark.parametrize("ident", SCANNED)
+    @pytest.mark.parametrize("ident", (*SCANNED, 7))
     def test_equal_the_rows_built_one_at_a_time(self, ident):
         n_min = identities._IDENTITIES[ident].n_min
         last = LAST_COMBINATORIAL_N[ident]
@@ -731,6 +736,37 @@ class TestPerCallRows:
         distinct = set(handed.values())  # equal tail sets count once
         assert len(runs) == len(distinct) == len(handed) > 1
         assert set(runs) == distinct
+
+    def test_each_tail_set_is_censused_once_per_audit_role_per_call(
+        self, monkeypatch
+    ):
+        # identity 7's audits, a row at a time, each census their own copy
+        # of the same tail sets; one call censuses each of them once for
+        # the targets, once for the sources and once for the companions
+        real, handed, runs = bijection._censused, {}, {}
+
+        def _censused(blocks, census, store=None):
+            role = getattr(census, "args", (census,))[0]  # the place rule
+
+            def seen():
+                for prefix, tails in blocks:
+                    handed.setdefault(role, {})[id(tails)] = tails
+                    yield prefix, tails
+
+            def counted(tails):
+                runs.setdefault(role, []).append(tails)
+                return census(tails)
+
+            return real(seen(), counted, store)
+
+        monkeypatch.setattr(bijection, "_censused", _censused)
+        assert verify(7, 14, combinatorial=True).all_pass
+        roles = {bijection._holding_h, bijection._place, bijection._companion}
+        assert set(runs) == set(handed) == roles
+        for role, censused in runs.items():
+            distinct = set(handed[role].values())  # equal tail sets count once
+            assert len(censused) == len(distinct) == len(handed[role]) > 1
+            assert set(censused) == distinct
 
     def test_a_fresh_tail_set_in_a_middle_row_fails_that_row_alone(
         self, monkeypatch
