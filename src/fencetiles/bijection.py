@@ -16,7 +16,6 @@ instead, so an invalid image fails it rather than raising.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
@@ -410,9 +409,3 @@ def _audit(n: int, memo: int, tails: list, stores: dict) -> CassiniAudit:
         n, lhs, rhs, lhs == rhs and structure_ok, side, count, structure_ok, failure
     )
 
-
-# Bind the names the package resolves through its __getattr__ until this
-# module loads, and drop that hook (see fencetiles._FROM_BIJECTION).
-_package = vars(sys.modules[__package__])
-_package.update({name: globals()[name] for name in _package["_FROM_BIJECTION"]})
-_package.pop("__getattr__", None)

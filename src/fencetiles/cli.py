@@ -115,13 +115,20 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Write each report's lines as soon as it is built, and drop it before
+    the next is built.  A --max-n that some report rejects, the first one
+    rejects too: identity 1, the first, has the largest n_min, and the
+    numeric reports, which alone have a cap, come first; so an error
+    prints no table."""
     ids = identities._IDENTITIES if args.identity == "all" else [int(args.identity)]
     modes = (False, True) if args.combinatorial else (False,)
-    reports = [identities.verify(i, args.max_n, c) for c in modes for i in ids]
     ok = True
-    for report in reports:
-        print(report.table())
-        ok = ok and report.all_pass
+    for c in modes:
+        for i in ids:
+            report = identities.verify(i, args.max_n, c)
+            _write_lines(report.lines())
+            ok = ok and report.all_pass
+            del report
     print("all pass" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -39,10 +39,6 @@ _METATILE = re.compile("LLRR|(?:h|LhR)(?:LLRR)*(?:h|LhR)")
 #: fullmatch accepts exactly the encodings validate accepts.
 _TILING = re.compile(f"(?:{_METATILE.pattern})*")
 
-#: The tilings made only of odd-length metatiles: _TILING without the even
-#: metatiles, LLRR and the chains closed by one h and one LhR.
-_ODD_TILING = re.compile("(?:h(?:LLRR)*h|LhR(?:LLRR)*LhR)*")
-
 
 class InvalidTilingError(ValueError):
     """Raised when an encoding or a placement set is not a valid tiling."""
@@ -406,15 +402,26 @@ def last_positions(t: Tiling) -> tuple[int | None, int | None]:
     return (q // 2 + 1 if q >= 0 else None, p if p >= 0 else None)
 
 
+#: The even-length metatiles of at most 32 cells, which has_even_metatile
+#: finds by one set test; only boards of 34 cells or more hold a longer one.
+_SHORT_EVEN = frozenset(
+    piece for cells in range(2, 33, 2) for piece in metatile_encodings(cells)
+)
+
+
 def has_free_bifence(t: Tiling) -> bool:
+    """Whether t.pieces holds the free bifence LLRR."""
     return "LLRR" in t.pieces
 
 
 def has_bifence(t: Tiling) -> bool:
+    """Whether t.encoding holds a bifence, LL, free or in a longer metatile."""
     return "LL" in t.encoding
 
 
 def has_even_metatile(t: Tiling) -> bool:
-    # the metatiles are a prefix-free code, so the encoding parses into odd
-    # ones exactly when it holds no even one
-    return _ODD_TILING.fullmatch(t.encoding) is None
+    """Whether t.pieces holds a metatile of even length (4j symbols)."""
+    pieces = t.pieces
+    return not _SHORT_EVEN.isdisjoint(pieces) or any(
+        len(piece) % 4 == 0 for piece in pieces
+    )

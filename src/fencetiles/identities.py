@@ -17,7 +17,7 @@ board is longer than MAX_ORACLE_BOARD cells.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from itertools import accumulate, takewhile
 
@@ -81,18 +81,19 @@ class IdentityReport(namedtuple("IdentityReport", "identity_id n_min n_max mode 
             }
         )
 
-    def table(self) -> str:
-        lines = [
+    def lines(self) -> Iterator[str]:
+        """The lines of table(), each made when it is asked for."""
+        yield (
             f"identity {self.identity_id} ({self.mode.value}), "
             f"n = {self.n_min}..{self.n_max}"
-        ]
+        )
         for r in self.rows:
             status = "pass" if r.passed else "FAIL"
-            lines.append(
-                f"  n={r.n:<3d} lhs={decimal(r.lhs)} rhs={decimal(r.rhs)} {status}"
-            )
-        lines.append("  all pass" if self.all_pass else "  FAILED")
-        return "\n".join(lines)
+            yield f"  n={r.n:<3d} lhs={decimal(r.lhs)} rhs={decimal(r.rhs)} {status}"
+        yield "  all pass" if self.all_pass else "  FAILED"
+
+    def table(self) -> str:
+        return "\n".join(self.lines())
 
 
 def _squares(n_max: int) -> tuple[list[int], list[int]]:

@@ -1,6 +1,7 @@
 import argparse
 import gc
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -339,6 +340,65 @@ class TestVerify:
         )
         assert (status, out) == (2, "")
         assert "n_max must be at most 6000" in err and "Traceback" not in err
+
+    def test_each_report_is_written_before_the_next_is_built(self, monkeypatch):
+        # so only one report's rows are held at a time
+        events = []
+        verify = identities.verify
+
+        def recording(identity_id, n_max, combinatorial=False):
+            events.append(("build", (identity_id, n_max, combinatorial)))
+            return verify(identity_id, n_max, combinatorial)
+
+        class Out(io.StringIO):
+            def write(self, text):
+                events.append(("write", text))
+                return super().write(text)
+
+        out = Out()
+        monkeypatch.setattr(identities, "verify", recording)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["verify", "--identity", "all", "--max-n", "6", "--combinatorial"]) == 0
+        calls = [(i, 6, c) for c in (False, True) for i in identities._IDENTITIES]
+        written = []
+        for kind, value in events:
+            if kind == "build":
+                assert value == calls[len(written)]
+                written.append("")
+            else:
+                written[-1] += value
+        assert len(written) == len(calls)
+        tables = [verify(*call).table() + "\n" for call in calls]
+        assert written == tables[:-1] + [tables[-1] + "all pass\n"]
+        assert out.getvalue() == "".join(tables) + "all pass\n"
+
+    @pytest.mark.parametrize(
+        "max_n, message",
+        [
+            ("-3", "identity 1 needs n_max >= 2"),
+            ("1", "identity 1 needs n_max >= 2"),
+            ("6001", "numeric mode: n_max must be at most 6000, got 6001"),
+        ],
+    )
+    @pytest.mark.parametrize("combinatorial", [False, True], ids=["numeric", "both"])
+    def test_an_error_in_any_report_prints_no_table(
+        self, capsys, monkeypatch, max_n, message, combinatorial
+    ):
+        # reports are written as they are built, so the first report built
+        # must be the one that fails: no call runs before it
+        calls = []
+        verify = identities.verify
+
+        def recording(*call):
+            calls.append(call)
+            return verify(*call)
+
+        monkeypatch.setattr(identities, "verify", recording)
+        argv = ["verify", "--identity", "all", "--max-n", max_n]
+        if combinatorial:
+            argv.append("--combinatorial")
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert calls == [(1, int(max_n), False)]
 
     @staticmethod
     def fib_pair(n: int) -> tuple[int, int]:
@@ -707,39 +767,44 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 True"
 
-    def test_the_package_names_the_bijection(self):
-        names = {
-            "AllBifenceException", "BijectionDomainError", "CassiniAudit",
-            "CassiniImage", "TargetCopy", "b_inverse", "b_map", "cassini_audit",
-            "cassini_partition",
-        }
-        assert names <= set(dir(fencetiles))
-        for name in names:
-            assert getattr(fencetiles, name) is getattr(bijection, name)
-        assert fencetiles.cassini_audit is fencetiles.bijection.cassini_audit
-        with pytest.raises(AttributeError, match="no_such_name"):
-            fencetiles.no_such_name
-
-    def test_the_bijection_loads_on_first_use_and_then_drops_the_hook(self):
-        # dir names the bijection's objects before it loads, and an unknown
-        # name is still an AttributeError; its import binds them in the
-        # package and drops the package __getattr__, which would keep CPython
-        # from specializing every lookup on the package
+    def test_import_leaves_the_bijection_unloaded_and_sets_no_hook(self):
+        # a package __getattr__ would keep CPython from specializing every
+        # lookup on the package; the bijection's names are read from
+        # fencetiles.bijection
         argv, env = cli_command()
         code = (
             "import sys, fencetiles; "
-            "print('cassini_audit' in dir(fencetiles), hasattr(fencetiles, 'no_such_name'), "
-            "'fencetiles.bijection' in sys.modules, hasattr(fencetiles, '__getattr__')); "
-            "audit = fencetiles.cassini_audit; "
-            "print(audit is sys.modules['fencetiles.bijection'].cassini_audit, "
-            "'cassini_audit' in vars(fencetiles), hasattr(fencetiles, '__getattr__'))"
+            "print('fencetiles.bijection' in sys.modules, "
+            "'__getattr__' in vars(fencetiles), hasattr(fencetiles, 'b_map'))"
         )
         proc = subprocess.run(
             [argv[0], "-S", "-c", code],
             capture_output=True, text=True, env=env, timeout=20,
         )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == "True False False True\nTrue True False\n"
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False False False\n")
+
+    def test_the_package_audit_is_the_bijection_audit_and_loads_it(self):
+        argv, env = cli_command()
+        code = (
+            "import sys, fencetiles; "
+            "audits = [repr(fencetiles.cassini_audit(n)) for n in range(1, 10)]; "
+            "loaded = 'fencetiles.bijection' in sys.modules; "
+            "from fencetiles import bijection; "
+            "print(loaded, audits == [repr(bijection.cassini_audit(n)) for n in range(1, 10)])"
+        )
+        proc = subprocess.run(
+            [argv[0], "-S", "-c", code],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True True\n")
+
+    def test_the_package_audit_looks_the_bijection_audit_up_on_each_call(
+        self, monkeypatch
+    ):
+        # the traced benchmark wraps bijection.cassini_audit, and the
+        # package's audit must reach the wrapper
+        monkeypatch.setattr(bijection, "cassini_audit", lambda n: ("wrapped", n))
+        assert fencetiles.cassini_audit(5) == ("wrapped", 5)
 
 
 #: The probe of a process's exit: atexit handlers run after the process

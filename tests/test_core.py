@@ -33,6 +33,12 @@ NO_FREE_BIFENCE = RESTRICTIONS["no-free-bifence"].allowed
 NO_BIFENCE = RESTRICTIONS["no-bifence"].allowed
 
 
+#: The tilings made only of odd-length metatiles: the whole-tiling grammar
+#: without the even metatiles, LLRR and the chains closed by one h and one
+#: LhR.  The oracle of has_even_metatile.
+ODD_TILING = re.compile("(?:h(?:LLRR)*h|LhR(?:LLRR)*LhR)*")
+
+
 def half_cell_tilings(n):
     """Independent oracle: every n-board encoding in lexicographic order, by
     depth-first placement at the lowest uncovered half-cell, a fence with
@@ -688,12 +694,39 @@ class TestClassifiers:
             assert has_even_metatile(Tiling((e,))) == (l % 2 == 0), e
 
     def test_even_metatile_agrees_with_the_piece_length_rule(self):
-        # the rule has_even_metatile had before the odd grammar, kept as
-        # oracle: a metatile of even length 2j cells has 4j symbols
+        # a metatile of even length 2j cells has 4j symbols
         for n in range(13):
             for t in enumerate_tilings(n):
                 expected = any(len(piece) % 4 == 0 for piece in t.pieces)
                 assert has_even_metatile(t) == expected, t.encoding
+
+    def test_even_metatile_agrees_with_the_odd_grammar(self):
+        # the metatiles are a prefix-free code, so an encoding parses into
+        # odd ones exactly when it holds no even one
+        for n in range(13):
+            for t in enumerate_tilings(n):
+                expected = ODD_TILING.fullmatch(t.encoding) is None
+                assert has_even_metatile(t) == expected, t.encoding
+        for l in range(1, 41):
+            for e in metatile_encodings(l):
+                expected = ODD_TILING.fullmatch(e) is None
+                assert has_even_metatile(Tiling((e,))) == expected, e
+
+    @pytest.mark.parametrize("l", [34, 40])
+    def test_an_even_metatile_longer_than_the_short_set_is_found(self, l):
+        # beyond 32 cells the length rule decides, not the set of short ones
+        for long in metatile_encodings(l):
+            t = validate("hh" + long + "hLLRRh")
+            assert t.pieces == ("hh", long, "hLLRRh")
+            assert has_even_metatile(t)
+            assert ODD_TILING.fullmatch(t.encoding) is None
+
+    def test_a_long_tiling_of_odd_metatiles_holds_no_even_one(self):
+        pieces = [e for l in (1, 3, 33, 35, 41) for e in metatile_encodings(l)]
+        t = validate("".join(pieces))
+        assert t.pieces == tuple(pieces)
+        assert not has_even_metatile(t)
+        assert ODD_TILING.fullmatch(t.encoding) is not None
 
 
 class TestLastPositions:
