@@ -207,7 +207,7 @@ def _identity_7_rows(n_max: int) -> list[IdentityRow]:
 
 def _only(bifence: bool, h: tuple[str, ...]) -> Restriction:
     """The restriction that admits at most LLRR and the short metatiles h
-    that start with h, with the table sum_form derives for it."""
+    that start with h, with its least recurrence from sum_form."""
     rule = Rule(bifence, (("LhR", (), ()), ("h", h, ())))
     return Restriction(sum_form(rule), rule)
 

@@ -11,8 +11,8 @@ floating point.  Each sequence is an immutable linear-recurrence table:
 
 A, S, C and T each count the tilings one restriction admits; the
 restriction is data, a core.Rule on metatiles (RESTRICTIONS), and
-sum_form derives a twin of its table from the metatile alphabet
-(conditioning on the last metatile) for cross-checking.
+sum_form derives its table, the least recurrence, from the metatile
+alphabet by conditioning on the last metatile.
 """
 
 from __future__ import annotations
@@ -87,10 +87,67 @@ class SequenceTable:
 
 
 FIB = SequenceTable("fib", (0, 1), (1, 1))
-A = SequenceTable("A", (1, 1, 4), (2, 2, -1))
-S = SequenceTable("S", (1, 1), (2, 1))
-C = SequenceTable("C", (1, 1, 3), (1, 2, 1))
-T = SequenceTable("T", (1, 1, 1), (1, 1, 1))
+
+
+class Restriction(namedtuple("Restriction", "table allowed")):
+    """A rule on tilings as data: allowed, a core.Rule, holds the metatiles
+    it admits (and, called on one, tells), and table (a SequenceTable)
+    counts the n-board tilings made only of those metatiles."""
+
+    __slots__ = ()
+
+
+def sum_form(allowed: Rule | None, name: str = "sum-form") -> SequenceTable:
+    """The least recurrence, named name, of the tilings made only of
+    metatiles the Rule allowed admits (every metatile when it is None), by
+    conditioning on the last metatile (the SEQ construction, Flajolet &
+    Sedgewick, Analytic Combinatorics, I.2): X = 1 / (1 - sum_l c_l x^l),
+    where c_l counts the allowed metatiles of l cells.
+
+    c_1..c_5 count the walk's own candidates of at most 5 cells.  From 4
+    cells on a rule admits a metatile by the parity of its length, so
+    c_l = c_{l-2} for l >= 6 and X = (1 - x^2) / Q, Q = 1 - sum_i q_i x^i,
+    q = (c_1, c_2 + 1, c_3 - c_1, c_4 - c_2, c_5 - c_3).  Each factor 1 - r x
+    of 1 - x^2 that divides Q (sum_i q_i r^i = 1) is divided out; the least
+    order is then max(deg Q, deg numerator + 1) (Stanley, Enumerative
+    Combinatorics 1, ch. 4), and the direct sum gives the first terms."""
+    c = Counter(len(piece) // 2 for piece in _candidates(5, _rule(allowed)))
+    x: list[int] = []
+    for m in range(5):
+        x.append((m == 0) + sum(c[l] * x[m - l] for l in range(1, m + 1)))
+    q = [c[1], c[2] + 1] + [c[l] - c[l - 2] for l in range(3, 6)]
+    top = 2  # the numerator's degree
+    for r in (1, -1):
+        if sum(qi * r**i for i, qi in enumerate(q, 1)) == 1:
+            for i in range(5):  # Q = (1 - r x) Q'; q'_5 comes out 0
+                q[i] += r * q[i - 1] if i else -r
+            top -= 1
+    while len(q) > top + 1 and not q[-1]:
+        q.pop()
+    return SequenceTable(name, x[: len(q)], q)
+
+
+#: The CLI --filter rules, each with its table from sum_form.  Identities
+#: 4-6 condition on the last metatile one of these forbids; identities 2 and
+#: 3 on the last one other than hh, and other than LLRR, kept out of them.
+RESTRICTIONS = {
+    key: Restriction(sum_form(rule, name), rule)
+    for key, name, rule in (
+        ("none", "A", _EVERY),
+        ("no-free-bifence", "S", _EVERY._replace(bifence=False)),
+        # no two interlocking fences, so no LLRR in a metatile: none of 4 cells on
+        ("no-bifence", "C", Rule(False, (
+            ("LhR", ("LhRLhR", "LhRh"), ()),
+            ("h", ("hLhR", "hh"), ()),
+        ))),
+        # the odd lengths: 1 and 3 cells by name, from 4 cells on by parity
+        ("odd-metatiles", "T", Rule(False, (
+            ("LhR", ("LhRLhR",), (1,)),
+            ("h", ("hLLRRh", "hh"), (1,)),
+        ))),
+    )
+}
+A, S, C, T = (r.table for r in RESTRICTIONS.values())
 
 TABLES = {t.name: t for t in (FIB, A, S, C, T)}
 
@@ -119,55 +176,6 @@ def count_T(n: int) -> int:
     return T.value(n)
 
 
-class Restriction(namedtuple("Restriction", "table allowed")):
-    """A rule on tilings as data: allowed, a core.Rule, holds the metatiles
-    it admits (and, called on one, tells), and table (a SequenceTable)
-    counts the n-board tilings made only of those metatiles."""
-
-    __slots__ = ()
-
-
-#: The CLI --filter rules.  Identities 4-6 condition on the last metatile
-#: one of these forbids; identities 2 and 3 on the last one other than hh,
-#: and other than LLRR, restrictions kept out of the filters.
-RESTRICTIONS = {
-    "none": Restriction(A, _EVERY),
-    "no-free-bifence": Restriction(S, _EVERY._replace(bifence=False)),
-    # no two interlocking fences, so no LLRR in a metatile: none of 4 cells on
-    "no-bifence": Restriction(C, Rule(False, (
-        ("LhR", ("LhRLhR", "LhRh"), ()),
-        ("h", ("hLhR", "hh"), ()),
-    ))),
-    # the odd lengths: 1 and 3 cells by name, from 4 cells on by parity
-    "odd-metatiles": Restriction(T, Rule(False, (
-        ("LhR", ("LhRLhR",), (1,)),
-        ("h", ("hLLRRh", "hh"), (1,)),
-    ))),
-}
-
-
-def sum_form(allowed: Rule | None) -> SequenceTable:
-    """The table of tilings made only of metatiles the Rule allowed admits
-    (every metatile when it is None), derived from the metatile alphabet
-    by conditioning on the last metatile (the SEQ construction, Flajolet &
-    Sedgewick, Analytic Combinatorics, I.2): X_m = [m=0] + sum_l c_l
-    X_{m-l}, where c_l counts the allowed metatiles of l cells.
-
-    c_1..c_5 count the walk's own candidates of at most 5 cells.  From 4
-    cells on a rule admits a metatile by the parity of its length, so
-    c_l = c_{l-2} for l >= 6, and
-    X_m = X_{m-2} + sum_{l<=5} (c_l - c_{l-2}) X_{m-l}: an order-5
-    recurrence whose first five terms come from the direct sum.
-    """
-    c = Counter(len(piece) // 2 for piece in _candidates(5, _rule(allowed)))
-    x: list[int] = []
-    for m in range(5):
-        x.append((m == 0) + sum(c[l] * x[m - l] for l in range(1, m + 1)))
-    return SequenceTable(
-        "sum-form", x, [c[1], c[2] + 1] + [c[l] - c[l - 2] for l in range(3, 6)]
-    )
-
-
 def a_via_sum_form(n: int) -> int:
     """A_n from conditioning on the last metatile."""
     return sum_form(RESTRICTIONS["none"].allowed).value(n)
@@ -185,8 +193,8 @@ def t_via_sum_form(n: int) -> int:
 
 #: Largest n the CLI count evaluates, and the longest board it enumerates,
 #: under any filter, or lists: A_n has about 0.42 n digits, and at n = 10^6
-#: value takes 0.5 s and decimal 2.0 s (CPython 3.11.7); the walk keeps a
-#: piece per metatile, about 39 MB at 10^6 cells.
+#: value takes 0.3-0.6 s and decimal 2.0-2.4 s (CPython 3.11.7, 2 shared
+#: cores); the walk keeps a piece per metatile, about 39 MB at 10^6 cells.
 MAX_COUNT_N = 1_000_000
 
 #: Longest board count_halfsquare_square enumerates; its work grows like

@@ -701,10 +701,14 @@ class TestImport:
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n")
 
     def test_import_loads_no_heavy_stdlib_module(self):
-        # none of these is needed to start the CLI; -S keeps site-packages'
+        # none of these is needed to start the CLI (the tables are derived
+        # in ints, without fractions or decimal); -S keeps site-packages'
         # .pth files, which may import any of them, out of the process
         argv, env = cli_command()
-        heavy = {"dataclasses", "inspect", "typing", "json", "argparse", "gettext"}
+        heavy = {
+            "dataclasses", "inspect", "typing", "json", "argparse", "gettext",
+            "fractions", "decimal",
+        }
         code = f"import sys, fencetiles.cli; print(sorted({heavy} & set(sys.modules)))"
         proc = subprocess.run(
             [argv[0], "-S", "-c", code],

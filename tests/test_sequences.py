@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from fencetiles.core import (
     has_free_bifence,
     metatile_encodings,
 )
+from fencetiles.core import Rule
 from fencetiles.sequences import (
     RESTRICTIONS,
     TABLES,
@@ -66,6 +68,10 @@ class MemoTable:
                 sum(c * self._values[m - 1 - i] for i, c in enumerate(self._coefficients))
             )
         return self._values[n]
+
+    def values(self, n_max: int) -> list[int]:
+        self.value(n_max)
+        return self._values[: n_max + 1]
 
 
 def fib_pair(n: int) -> tuple[int, int]:
@@ -288,8 +294,9 @@ PREDICATES = {
 
 
 class TestSumFormTwins:
-    """The twins are derived from the metatile alphabet; the running-sum
-    bodies they replaced and the quadratic re-sums stay as oracles."""
+    """a/s/t_via_sum_form read the tables sum_form derives from the
+    metatile alphabet; the running-sum bodies they replaced and the
+    quadratic re-sums stay as oracles."""
 
     @pytest.mark.parametrize(
         "twin, oracle",
@@ -320,19 +327,25 @@ class TestSumFormTwins:
         assert sum_form(RESTRICTIONS[name].allowed).values(300) == [
             oracle.value(n) for n in range(301)
         ]
-        assert RESTRICTIONS[name].table is TABLES[RECURRENCE_OF[name]]
+        table = RESTRICTIONS[name].table
+        assert table is TABLES[RECURRENCE_OF[name]]
+        # the least recurrence is the hand-entered one, term for term
+        assert (table._initial, table._coefficients) == (initial, coefficients)
 
     @pytest.mark.parametrize(
-        "ident, period", [(2, (1,)), (3, (1, 0))], ids=["only-hh", "only-LLRR"]
+        "ident, period, coefficients",
+        [(2, (1,), (1,)), (3, (1, 0), (0, 1))],
+        ids=["only-hh", "only-LLRR"],
     )
-    def test_one_metatile_tables(self, ident, period):
+    def test_one_metatile_tables(self, ident, period, coefficients):
         # all h, or all free bifences: one tiling of every board, or of the
-        # even ones
+        # even ones; X_m = X_{m-1}, or X_m = X_{m-2}
         allowed = ONE_METATILE[ident]
         expected = [period[n % len(period)] for n in range(301)]
         assert sum_form(allowed).values(300) == expected
         table = identities._IDENTITIES[ident].restriction.table
         assert [table.value(n) for n in range(301)] == expected
+        assert (table._initial, table._coefficients) == (period, coefficients)
 
     def test_nothing_admitted_table(self):
         # only the empty board is tiled without a metatile: X = 1, 0, 0, ...
@@ -340,10 +353,11 @@ class TestSumFormTwins:
         assert sum_form(NOTHING).values(300) == expected
         table = identities._IDENTITIES[1].restriction.table
         assert [table.value(n) for n in range(301)] == expected
+        assert (table._initial, table._coefficients) == ((1,), (0,))
 
     @pytest.mark.parametrize("name", sorted(PREDICATES))
     def test_allowed_count_repeats_with_period_two_from_six_cells(self, name):
-        # the premise of the order-5 derivation: c_l = c_{l-2} for l >= 6
+        # the premise of sum_form's derivation: c_l = c_{l-2} for l >= 6
         allowed = PREDICATES[name]
         c = [sum(1 for e in metatile_encodings(l) if allowed(e)) for l in range(1, 61)]
         assert all(c[l - 1] == c[l - 3] for l in range(6, 61))
@@ -366,6 +380,81 @@ class TestSumFormTwins:
             for n in (6, 7, 8)
         ]
         assert counts == [163, 417, 1080]
+
+
+def subsets(items):
+    """Every subset of items, each in the order of items."""
+    return [
+        tuple(x for k, x in enumerate(items) if mask >> k & 1)
+        for mask in range(2 ** len(items))
+    ]
+
+
+#: The whole finite rule space: whether LLRR is admitted, and per lead the
+#: admitted metatiles under 4 cells and the admitted parities from 4 cells
+#: on; 2 * (4 * 4) * (8 * 4) = 1,024 rules.
+EVERY_RULE = [
+    Rule(bifence, (("LhR", lhr, lhr_parities), ("h", h, h_parities)))
+    for bifence in (False, True)
+    for lhr in subsets(("LhRLhR", "LhRh"))
+    for lhr_parities in subsets((0, 1))
+    for h in subsets(("hLLRRh", "hLhR", "hh"))
+    for h_parities in subsets((0, 1))
+]
+
+
+def order_five(rule):
+    """The order-5 recurrence the least one is reduced from, as
+    (initial terms, coefficients): c_l = c_{l-2} for l >= 6 folds
+    X_m = [m=0] + sum_l c_l X_{m-l} into
+    X_m = X_{m-2} + sum_{l<=5} (c_l - c_{l-2}) X_{m-l}, with five initial
+    terms from the direct sum.  c_l is counted by calling the rule on every
+    metatile of l cells."""
+    c = {l: sum(map(rule, metatile_encodings(l))) for l in range(1, 6)}
+    x = []
+    for m in range(5):
+        x.append((m == 0) + sum(c[l] * x[m - l] for l in range(1, m + 1)))
+    return x, [c[1], c[2] + 1] + [c[l] - c[l - 2] for l in range(3, 6)]
+
+
+def berlekamp_massey(terms):
+    """The shortest linear recurrence the terms obey, as its coefficients
+    c_1..c_L, over the rationals (Massey, IEEE Trans. Inf. Theory 1969).
+    On 2L terms or more of a sequence whose least order is L, it is that
+    sequence's least recurrence."""
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    order, gap, prev_delta = 0, 1, Fraction(1)
+    for n, term in enumerate(terms):
+        delta = term + sum(conn[i] * terms[n - i] for i in range(1, order + 1))
+        if not delta:
+            gap += 1
+            continue
+        old = conn[:]
+        conn += [Fraction(0)] * (len(prev) + gap - len(conn))
+        for i, p in enumerate(prev):
+            conn[i + gap] -= delta / prev_delta * p
+        if 2 * order <= n:
+            order, prev, prev_delta, gap = n + 1 - order, old, delta, 1
+        else:
+            gap += 1
+    conn += [Fraction(0)] * (order + 1 - len(conn))
+    return [-k for k in conn[1 : order + 1]]
+
+
+class TestLeastRecurrence:
+    """sum_form returns the least recurrence: the same table as the order-5
+    construction, at the order Berlekamp-Massey finds."""
+
+    def test_every_rule_is_its_order_five_construction_at_least_order(self):
+        assert len(set(EVERY_RULE)) == 1024
+        for rule in EVERY_RULE:
+            table = sum_form(rule)
+            terms = table.values(59)
+            assert terms == MemoTable(*order_five(rule)).values(59), rule
+            least = berlekamp_massey(terms[:10])  # the least order is at most 5
+            assert list(table._coefficients) == least, rule
+            assert len(table._initial) == len(least), rule
+            assert all(type(v) is int for v in table._initial + table._coefficients)
 
 
 def built_and_filtered(cells, allowed):
