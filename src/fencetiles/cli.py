@@ -12,7 +12,7 @@ usage, input or I/O errors.
 
 from __future__ import annotations
 
-import gc
+import atexit
 import os
 import sys
 from collections.abc import Iterable
@@ -285,7 +285,7 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
 
 def main(argv: Iterable[str] | None = None) -> int:
     """Run a command line (sys.argv[1:] when argv is None) and return its exit
-    status, leaving the garbage collector alone: only `run` freezes it."""
+    status without ending the process: only `run` ends it."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_plain(argv)
     if args is None:
@@ -300,7 +300,7 @@ def main(argv: Iterable[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             # the reader has gone: send what is still buffered to devnull, so
-            # that the flush at interpreter exit raises nothing
+            # that the final flush of run raises nothing
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -308,13 +308,17 @@ def main(argv: Iterable[str] | None = None) -> int:
 
 def run() -> None:
     """The process entry, of `python -m fencetiles.cli` and the `fencetiles`
-    script: run main, then exit with its status."""
+    script: main, then the atexit handlers and the flush of stdout and stderr
+    (exit 2 if it fails), then os._exit, skipping the interpreter's teardown
+    of every module, class and cycle the OS is about to reclaim anyway."""
     status = main()
-    # the exit collections walk every tracked object to free each cycle just
-    # before the OS reclaims the heap, and skip frozen ones; unlike os._exit,
-    # exit still flushes stdout and stderr and runs the atexit handlers
-    gc.freeze()
-    sys.exit(status)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        status = 2
+    os._exit(status)
 
 
 if __name__ == "__main__":

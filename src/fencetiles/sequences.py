@@ -177,18 +177,18 @@ def count_T(n: int) -> int:
 
 
 def a_via_sum_form(n: int) -> int:
-    """A_n from conditioning on the last metatile."""
-    return sum_form(RESTRICTIONS["none"].allowed).value(n)
+    """A_n from conditioning on the last metatile (sum_form's table)."""
+    return RESTRICTIONS["none"].table.value(n)
 
 
 def s_via_sum_form(n: int) -> int:
     """S_n from conditioning on the last metatile (any but the bifence)."""
-    return sum_form(RESTRICTIONS["no-free-bifence"].allowed).value(n)
+    return RESTRICTIONS["no-free-bifence"].table.value(n)
 
 
 def t_via_sum_form(n: int) -> int:
     """T_n from conditioning on the last (odd-length) metatile."""
-    return sum_form(RESTRICTIONS["odd-metatiles"].allowed).value(n)
+    return RESTRICTIONS["odd-metatiles"].table.value(n)
 
 
 #: Largest n the CLI count evaluates, and the longest board it enumerates,

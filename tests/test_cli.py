@@ -743,13 +743,14 @@ class TestImport:
         ids=lambda command: command[0],
     )
     def test_only_the_bijection_command_loads_the_bijection(self, command):
-        # fencetiles.bijection loads on first use, and enumerate writes its
-        # JSON by hand
+        # fencetiles.bijection and fencetiles.scan load on first use, and
+        # enumerate writes its JSON by hand
         argv, env = cli_command()
+        lazy = {"fencetiles.bijection", "fencetiles.scan", "json"}
         code = (
             "import io, sys; from fencetiles.cli import main; sys.stdout = io.StringIO(); "
             f"status = main({list(command)!r}); sys.stdout = sys.__stdout__; "
-            "print(status, sorted({'fencetiles.bijection', 'json'} & set(sys.modules)))"
+            f"print(status, sorted({lazy!r} & set(sys.modules)))"
         )
         proc = subprocess.run(
             [argv[0], "-S", "-c", code],
@@ -771,6 +772,24 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 True"
 
+    def test_the_combinatorial_verify_loads_the_scan(self):
+        # identity 4's rows are the scan's; identity 7's alone are the audit's
+        argv, env = cli_command()
+        code = (
+            "import io, sys; from fencetiles.cli import main; sys.stdout = io.StringIO(); "
+            "status = main(['verify', '--identity', '4', '--max-n', '10', "
+            "'--combinatorial']); sys.stdout = sys.__stdout__; "
+            "print(status, sorted({'fencetiles.bijection', 'fencetiles.scan'} "
+            "& set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [argv[0], "-S", "-c", code],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (
+            0, "", "0 ['fencetiles.scan']\n"
+        )
+
     def test_import_leaves_the_bijection_unloaded_and_sets_no_hook(self):
         # a package __getattr__ would keep CPython from specializing every
         # lookup on the package; the bijection's names are read from
@@ -779,13 +798,16 @@ class TestImport:
         code = (
             "import sys, fencetiles; "
             "print('fencetiles.bijection' in sys.modules, "
+            "'fencetiles.scan' in sys.modules, "
             "'__getattr__' in vars(fencetiles), hasattr(fencetiles, 'b_map'))"
         )
         proc = subprocess.run(
             [argv[0], "-S", "-c", code],
             capture_output=True, text=True, env=env, timeout=20,
         )
-        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False False False\n")
+        assert (proc.returncode, proc.stderr, proc.stdout) == (
+            0, "", "False False False False\n"
+        )
 
     def test_the_package_audit_is_the_bijection_audit_and_loads_it(self):
         argv, env = cli_command()
@@ -811,20 +833,26 @@ class TestImport:
         assert fencetiles.cassini_audit(5) == ("wrapped", 5)
 
 
-#: The probe of a process's exit: atexit handlers run after the process
-#: entry returns and before the interpreter's exit collections.
-FREEZE_PROBE = (
-    "import atexit, gc, sys; "
-    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
-    "sys.argv[1:] = {argv!r}; "
-)
+#: The probe of a process's exit: an atexit handler, which must print after
+#: the command's whole output, and an object whose finalizer prints if the
+#: interpreter tears the __main__ module down.
+EXIT_PROBE = """\
+import atexit, sys
+class Teardown:
+    def __del__(self):
+        print("torn down")
+probe = Teardown()
+atexit.register(print, "atexit")
+sys.argv[1:] = {argv!r}
+"""
 
 
 class TestProcessEntry:
-    """A CLI process freezes its heap once its command is done, so the
-    interpreter's exit collections skip it; main, which tests, the
-    benchmark and library callers run in process, leaves the collector
-    alone."""
+    """A CLI process runs its atexit handlers and flushes its output once
+    its command is done, then ends with os._exit, skipping the
+    interpreter's teardown; main, which tests, the benchmark and library
+    callers run in process, neither ends the process nor touches the
+    collector."""
 
     @pytest.mark.parametrize(
         "argv, status",
@@ -861,17 +889,22 @@ class TestProcessEntry:
         "argv, status, out, err",
         [
             (["count", "--seq", "A", "--n", "10"], 0, "7921\n", ""),
+            # about 57 kB, several buffers of stdout
+            (["enumerate", "--n", "9"], 0, per_tiling_lines(9, "none", "text", None), ""),
             (["render", "LLX"], 2, "", "error: encoding length 3 is odd\n"),
             (["count", "--seq", "A"], 2, "", "the following arguments are required"),
         ],
-        ids=["pass", "input-error", "usage-error"],
+        ids=["pass", "stream", "input-error", "usage-error"],
     )
     @pytest.mark.parametrize("entry", ["__main__", "script", "main"])
-    def test_the_process_entry_freezes(self, argv, status, out, err, entry):
+    def test_the_process_entry_skips_only_the_teardown(
+        self, argv, status, out, err, entry
+    ):
         # as `python -m fencetiles.cli`, as the installed script calls its
-        # target, and, as the control, main alone
+        # target, and, as the control whose teardown finalizes the probe,
+        # main alone
         module, _, name = self.script_target().partition(":")
-        code = FREEZE_PROBE.format(argv=argv) + {
+        code = EXIT_PROBE.format(argv=argv) + {
             "__main__": "import runpy; runpy.run_module('fencetiles.cli', "
             "run_name='__main__')",
             "script": f"import {module}; sys.exit({module}.{name}())",
@@ -882,13 +915,34 @@ class TestProcessEntry:
             [python[0], "-c", code], capture_output=True, text=True, env=env, timeout=20
         )
         assert proc.returncode == status
-        assert proc.stdout == f"{out}frozen {entry != 'main'}\n"
+        teardown = "torn down\n" if entry == "main" else ""
+        assert proc.stdout == f"{out}atexit\n{teardown}"
         assert err in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_a_failed_final_flush_exits_2(self, capsys, monkeypatch):
+        # the reader goes away after main's own flush: the flush of run,
+        # after the atexit handlers, fails, and the status is the exit
+        # contract's I/O error, not the interpreter's 120
+        events = []
+
+        class Gone(io.StringIO):
+            def flush(self):
+                if events:
+                    raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Gone())
+        monkeypatch.setattr(sys, "argv", ["fencetiles", "count", "--seq", "A", "--n", "10"])
+        monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: events.append("atexit"))
+        monkeypatch.setattr(cli.os, "_exit", events.append)
+        cli.run()
+        assert events == ["atexit", 2]
+        assert sys.stdout.getvalue() == "7921\n"
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("fmt", ["ascii", "svg"])
     def test_a_file_written_by_the_process_is_whole(self, tmp_path, fmt):
-        # a frozen heap is never collected, so no finalizer may be what
-        # closes a file: the process must close --out itself
+        # os._exit runs no finalizer, so none may be what closes a file:
+        # the process must close --out itself
         target = tmp_path / f"tiling.{fmt}"
         argv, env = cli_command("render", "LhRLLRRhhh", "--format", fmt)
         to_file = subprocess.run(

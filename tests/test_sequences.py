@@ -221,7 +221,10 @@ class TestCountA:
         assert count_A(n) == fib(n + 1) ** 2
 
     def test_matches_sum_form_up_to_200(self):
-        assert all(count_A(n) == a_via_sum_form(n) for n in range(201))
+        # the twin reads count_A's table, so both meet the literal recurrence
+        oracle = MemoTable(*RECURRENCES["A"]).values(200)
+        assert [count_A(n) for n in range(201)] == oracle
+        assert [a_via_sum_form(n) for n in range(201)] == oracle
 
 
 class TestCountS:
@@ -235,7 +238,10 @@ class TestCountS:
         assert count_S(-1) == 0
 
     def test_matches_sum_form_up_to_200(self):
-        assert all(count_S(n) == s_via_sum_form(n) for n in range(201))
+        # the twin reads count_S's table, so both meet the literal recurrence
+        oracle = MemoTable(*RECURRENCES["S"]).values(200)
+        assert [count_S(n) for n in range(201)] == oracle
+        assert [s_via_sum_form(n) for n in range(201)] == oracle
 
 
 class TestCountC:
@@ -260,7 +266,10 @@ class TestCountT:
         assert count_T(6) == 17
 
     def test_matches_sum_form_up_to_200(self):
-        assert all(count_T(n) == t_via_sum_form(n) for n in range(201))
+        # the twin reads count_T's table, so both meet the literal recurrence
+        oracle = MemoTable(*RECURRENCES["T"]).values(200)
+        assert [count_T(n) for n in range(201)] == oracle
+        assert [t_via_sum_form(n) for n in range(201)] == oracle
 
 
 #: The rules of the one-metatile restrictions identities 2 and 3 condition
