@@ -229,7 +229,7 @@ def _memo_depth(n: int) -> int:
     number about sqrt(A_n) (meet in the middle, after Horowitz and Sahni,
     JACM 1974), and never less than _MEMO_CELLS.  The Cassini audit walks
     at this depth; the identity rows of one verify call, which share one
-    memo, one cell deeper (scan._combinatorial_rows)."""
+    memo, one cell deeper (identities._combinatorial_rows)."""
     return max(_MEMO_CELLS, (n + 1) // 2)
 
 

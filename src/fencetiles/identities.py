@@ -3,10 +3,12 @@
 Each identity is one record of data with two modes: numeric (exact integer
 evaluation of both sides) and combinatorial (counting tilings).  Identities
 1-6 share one proof: condition on the last metatile a restriction, a
-core.Rule, forbids (identity 1 forbids them all); fencetiles.scan, which
-only a combinatorial verify imports, bins every tiling by it.  Identity 7's
-proof is the Cassini near-bijection, so its combinatorial row is
-bijection.cassini_audit.
+core.Rule, forbids (identity 1 forbids them all).  One scan reads the
+board by block through core._censused, the block driver it shares with
+the Cassini audit, bins every tiling by the end cell and encoding of that
+metatile, found by set lookup, and checks every bin against its
+predicted count, not just the totals.  Identity 7's proof is the Cassini near-bijection,
+so its combinatorial row is bijection.cassini_audit.
 
 Combinatorial mode is exhaustive, so its rows stop at the first n whose
 board is longer than MAX_ORACLE_BOARD cells.
@@ -15,12 +17,12 @@ board is longer than MAX_ORACLE_BOARD cells.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from enum import Enum
 from itertools import accumulate, takewhile
 
-from .core import Rule
-from .sequences import C, FIB, RESTRICTIONS, S, T, Restriction, decimal, sum_form
+from .core import Rule, _blocks, _candidates, _censused, _memo_depth, metatile_encodings
+from .sequences import A, C, FIB, RESTRICTIONS, S, T, Restriction, decimal, sum_form
 
 #: Longest board the combinatorial (exhaustive enumeration) mode will scan:
 #: its rows stop at the first n whose board is longer, whatever n_max asks.
@@ -106,7 +108,7 @@ class _Identity(namedtuple("_Identity", "n_min numeric board restriction")):
     enumerates for row n.
 
     Combinatorial mode bins the tilings of board(n) by the last metatile
-    the restriction forbids and checks each bin (scan._combinatorial_rows);
+    the restriction forbids (_scan) and checks the bins against _predicted;
     restriction is None for identity 7, whose row is the Cassini audit of
     board(n) = n.
     """
@@ -227,6 +229,142 @@ _IDENTITIES = {
 }
 
 
+def _predicted(restriction: Restriction, board: int, a: list[int]) -> tuple[dict, int]:
+    """The count _scan should find in every bin over the tilings of the
+    board, with a = [A_0, ..., A_board], and the number of tilings binned.
+
+    A forbidden piece of l cells ending on cell k comes after any of the
+    A_{k-l} tilings of the cells before it and before any of the X_{board-k}
+    tilings of the cells after it that the restriction admits, X being its
+    table.  A bin with X_{board-k} = 0 cannot occur and is left out.  The
+    X_board tilings the restriction admits throughout are left unbinned.
+    """
+    table, allowed = restriction
+    x = table.values(board)
+    expected = {
+        (k, piece): a[k - l] * x[board - k]
+        for l in range(1, board + 1)
+        for piece in metatile_encodings(l)
+        if not allowed(piece)
+        for k in range(l, board + 1)
+        if x[board - k]
+    }
+    return expected, a[board] - x[board]
+
+
+def _scan(
+    blocks: Iterable[tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]],
+    allowed: Callable[[str], bool],
+    store: dict | None = None,
+) -> tuple[dict, int, bool]:
+    """Bin tilings, given as the (prefix, tails) blocks of core._blocks, by
+    the (end cell, encoding) of their last metatile allowed forbids,
+    leaving unbinned those it admits throughout.  Returns the bin counts,
+    the number of tilings scanned, and whether their joined encodings came
+    in strictly increasing order: over one enumeration, that proves that no
+    tiling is counted twice.
+
+    The tiling prefix + t is binned by the last forbidden piece of t, or of
+    prefix when t has none.  So core._censused reads each tail set into a
+    census that depends on allowed alone, not on the block or the board:
+    its size, the number of tails with no forbidden piece, the first and
+    last joined tail, whether the joined tails strictly increase, and bins
+    keyed by end cell within the tail.  store keeps the censuses for later
+    scans with the same allowed (core._censused).  Per block, the scan adds
+    the census size to the tilings scanned, checks the census's order and
+    that prefix + first tail comes after the previous block's prefix + last
+    tail, sends the tails with no forbidden piece to the prefix's last
+    forbidden piece, and counts one block for the census's bins at the
+    prefix's cell count.  After the walk it folds each census's bins in
+    once per cell count, shifted by that count and times the blocks counted
+    there: no bin is touched per block, and no tiling is read one by one.
+    """
+    observed: dict = {}
+    shifted: dict = {}  # (cell count, id of bins): [bins, blocks counted]
+    prev, scanned, ordered = None, 0, True
+
+    def last_forbidden(pieces: tuple[str, ...], end: int) -> tuple | None:
+        # the (end cell, piece) key of the last forbidden piece, the pieces
+        # ending on half-cell end; None when allowed admits them all
+        for piece in reversed(pieces):
+            if not allowed(piece):
+                return end // 2, piece
+            end -= len(piece)
+        return None
+
+    def census(tails: tuple[tuple[str, ...], ...]) -> tuple:
+        bins: dict = {}
+        free = 0
+        joined = ["".join(t) for t in tails]
+        for t, e in zip(tails, joined):
+            key = last_forbidden(t, len(e))
+            if key is None:
+                free += 1
+            else:
+                bins[key] = bins.get(key, 0) + 1
+        in_order = all(map(str.__lt__, joined, joined[1:]))
+        return len(tails), free, joined[0], joined[-1], in_order, bins
+
+    for prefix, head, counted in _censused(blocks, census, store):
+        size, free, first, last, in_order, bins = counted
+        scanned += size
+        if not in_order or prev is not None and head + first <= prev:
+            ordered = False
+        prev = head + last
+        shifted.setdefault((len(head) // 2, id(bins)), [bins, 0])[1] += 1
+        if free:
+            key = last_forbidden(prefix, len(head))
+            if key is not None:
+                observed[key] = observed.get(key, 0) + free
+    for (shift, _), (bins, blocks_at) in shifted.items():
+        for (k, piece), count in bins.items():
+            key = k + shift, piece
+            observed[key] = observed.get(key, 0) + count * blocks_at
+    return observed, scanned, ordered
+
+
+def _combinatorial_rows(ident: _Identity, ns: Iterable[int]) -> list[IdentityRow]:
+    """Bin every tiling of board(n), for each n of ns.  A row passes when
+    every tiling was scanned once, every bin holds its predicted count, no
+    other bin occurs, and the bins hold the predicted total.  With no
+    restriction (identity 7) a row is the audit's two sides, passing when
+    its structure holds.
+
+    The tail sets of the walk and their censuses are the same in every row,
+    so the rows share one memo and one census store (the audits one per
+    role): each tail set is built and censused once per call.  The memo is
+    one cell deeper than core._memo_depth gives the longest board: paid
+    once per call, not once per row, the memo side of the meet in the
+    middle costs less, so the balance moves deeper, for the audits too (on
+    the 13- and 14-boards, two cells deeper gains nothing more).  The
+    admitted set is built once, from the longest board: a piece of l cells
+    is a candidate on every board of at least l cells exactly when the
+    rule admits it.  Each piece is then one lookup.
+    """
+    ns = list(ns)
+    boards = list(map(ident.board, ns))
+    top = max(boards)
+    memo, tails, store = _memo_depth(top) + 1, [], {}
+    if ident.restriction is None:
+        from .bijection import _audit  # deferred: only these rows run it
+
+        audits = zip(ns, (_audit(b, memo, tails, store) for b in boards))
+        return [IdentityRow(n, x.lhs, x.rhs, x.structure_ok) for n, x in audits]
+    a = A.values(top)
+    admitted = frozenset(_candidates(top, ident.restriction.allowed)).__contains__
+    rows = []
+    for n, board in zip(ns, boards):
+        expected, relevant = _predicted(ident.restriction, board, a)
+        blocks = _blocks(board, None, memo, tails)
+        observed, scanned, ordered = _scan(blocks, admitted, store)
+        binned = sum(observed.values())
+        bins_ok = ordered and scanned == a[board] and (
+            observed == expected and binned == relevant
+        )
+        rows.append(IdentityRow(n, binned, sum(expected.values()), bins_ok))
+    return rows
+
+
 def verify(
     identity_id: int, n_max: int, combinatorial: bool = False
 ) -> IdentityReport:
@@ -241,7 +379,6 @@ def verify(
     if n_max < ident.n_min:
         raise ValueError(f"identity {identity_id} needs n_max >= {ident.n_min}")
     if combinatorial:
-        from .scan import _combinatorial_rows  # deferred: only this mode scans
         mode = Mode.COMBINATORIAL
         rows = _combinatorial_rows(ident, takewhile(
             lambda n: ident.board(n) <= MAX_ORACLE_BOARD, range(ident.n_min, n_max + 1)

@@ -743,14 +743,13 @@ class TestImport:
         ids=lambda command: command[0],
     )
     def test_only_the_bijection_command_loads_the_bijection(self, command):
-        # fencetiles.bijection and fencetiles.scan load on first use, and
-        # enumerate writes its JSON by hand
+        # fencetiles.bijection loads on first use, and enumerate writes its
+        # JSON by hand
         argv, env = cli_command()
-        lazy = {"fencetiles.bijection", "fencetiles.scan", "json"}
         code = (
             "import io, sys; from fencetiles.cli import main; sys.stdout = io.StringIO(); "
             f"status = main({list(command)!r}); sys.stdout = sys.__stdout__; "
-            f"print(status, sorted({lazy!r} & set(sys.modules)))"
+            "print(status, sorted({'fencetiles.bijection', 'json'} & set(sys.modules)))"
         )
         proc = subprocess.run(
             [argv[0], "-S", "-c", code],
@@ -772,24 +771,6 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 True"
 
-    def test_the_combinatorial_verify_loads_the_scan(self):
-        # identity 4's rows are the scan's; identity 7's alone are the audit's
-        argv, env = cli_command()
-        code = (
-            "import io, sys; from fencetiles.cli import main; sys.stdout = io.StringIO(); "
-            "status = main(['verify', '--identity', '4', '--max-n', '10', "
-            "'--combinatorial']); sys.stdout = sys.__stdout__; "
-            "print(status, sorted({'fencetiles.bijection', 'fencetiles.scan'} "
-            "& set(sys.modules)))"
-        )
-        proc = subprocess.run(
-            [argv[0], "-S", "-c", code],
-            capture_output=True, text=True, env=env, timeout=20,
-        )
-        assert (proc.returncode, proc.stderr, proc.stdout) == (
-            0, "", "0 ['fencetiles.scan']\n"
-        )
-
     def test_import_leaves_the_bijection_unloaded_and_sets_no_hook(self):
         # a package __getattr__ would keep CPython from specializing every
         # lookup on the package; the bijection's names are read from
@@ -798,16 +779,13 @@ class TestImport:
         code = (
             "import sys, fencetiles; "
             "print('fencetiles.bijection' in sys.modules, "
-            "'fencetiles.scan' in sys.modules, "
             "'__getattr__' in vars(fencetiles), hasattr(fencetiles, 'b_map'))"
         )
         proc = subprocess.run(
             [argv[0], "-S", "-c", code],
             capture_output=True, text=True, env=env, timeout=20,
         )
-        assert (proc.returncode, proc.stderr, proc.stdout) == (
-            0, "", "False False False False\n"
-        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False False False\n")
 
     def test_the_package_audit_is_the_bijection_audit_and_loads_it(self):
         argv, env = cli_command()

@@ -4,7 +4,7 @@ from itertools import accumulate, count, takewhile
 
 import pytest
 
-from fencetiles import bijection, core, identities, scan
+from fencetiles import bijection, core, identities
 from fencetiles.core import (
     count_tilings,
     enumerate_tilings,
@@ -284,7 +284,7 @@ def bin_of(ident: int, pieces: tuple[str, ...]):
     """The bin combinatorial mode of the identity puts the tiling with these
     pieces in, or None."""
     allowed = identities._IDENTITIES[ident].restriction.allowed
-    observed, scanned, _ = scan._scan(as_blocks([pieces]), allowed)
+    observed, scanned, _ = identities._scan(as_blocks([pieces]), allowed)
     assert scanned == 1
     return next(iter(observed), None)
 
@@ -333,7 +333,7 @@ class TestLastFeatureKeys:
         for n in range(31):
             board = record.board(n)
             a = A.values(board)
-            expected, relevant = scan._predicted(record.restriction, board, a)
+            expected, relevant = identities._predicted(record.restriction, board, a)
             per_cell = Counter()
             for (end, _), count in expected.items():
                 per_cell[end] += count
@@ -350,14 +350,14 @@ class TestCountedOnce:
 
     @staticmethod
     def patched(monkeypatch, rewrite):
-        real = scan._blocks
+        real = identities._blocks
 
         def _blocks(n, allowed=None, memo=core._MEMO_CELLS, tails=None):
             walk = real(n, allowed, memo, tails)
             tilings = [p + t for p, ts in walk for t in ts]
             return iter(as_blocks(rewrite(tilings)))
 
-        monkeypatch.setattr(scan, "_blocks", _blocks)
+        monkeypatch.setattr(identities, "_blocks", _blocks)
 
     @staticmethod
     def duplicate_within_a_bin(tilings):
@@ -412,9 +412,9 @@ class TestDriverFaults:
         ],
     )
     def test_grammar_missing_an_allowed_piece_fails(self, monkeypatch, ident, piece):
-        real = scan.metatile_encodings
+        real = identities.metatile_encodings
         monkeypatch.setattr(
-            scan,
+            identities,
             "metatile_encodings",
             lambda length: tuple(e for e in real(length) if e != piece),
         )
@@ -440,13 +440,13 @@ class TestLastMetatileCoefficients:
     def test_allowed_pieces_per_length(self, ident):
         board = 30
         restriction = identities._IDENTITIES[ident].restriction
-        expected, _ = scan._predicted(restriction, board, A.values(board))
+        expected, _ = identities._predicted(restriction, board, A.values(board))
         ending_last = Counter(len(piece) // 2 for k, piece in expected if k == board)
         keyed = Counter(
             l
             for l in range(1, board + 1)
             for e in metatile_encodings(l)
-            if scan._scan(as_blocks([(e,)]), restriction.allowed)[0]
+            if identities._scan(as_blocks([(e,)]), restriction.allowed)[0]
             == {(l, e): 1}
         )
         for l in range(1, board + 1):
@@ -467,11 +467,11 @@ class TestScanMemo:
             calls[piece] += 1
             return restriction.allowed(piece)
 
-        observed, scanned, ordered = scan._scan(core._blocks(10), allowed)
+        observed, scanned, ordered = identities._scan(core._blocks(10), allowed)
         pieces = {p for tiling in core._walk(10) for p in tiling}
         assert set(calls) <= pieces
         a = A.values(10)
-        expected, _ = scan._predicted(restriction, 10, a)
+        expected, _ = identities._predicted(restriction, 10, a)
         assert (observed, scanned, ordered) == (expected, a[10], True)
 
 
@@ -527,7 +527,7 @@ class TestBlockScan:
             expected = reference_scan(core._walk(board), allowed)
             for depth in self.DEPTHS:
                 blocks = core._blocks(board, None, depth)
-                assert scan._scan(blocks, allowed) == expected, (board, depth)
+                assert identities._scan(blocks, allowed) == expected, (board, depth)
 
     def test_identity_2_equals_the_per_tiling_scan_on_the_14_board(self):
         allowed = identities._IDENTITIES[2].restriction.allowed
@@ -536,7 +536,7 @@ class TestBlockScan:
         assert expected[1:] == (A.values(14)[14], True)
         for depth in self.DEPTHS:
             blocks = core._blocks(14, None, depth)
-            assert scan._scan(blocks, allowed) == expected, depth
+            assert identities._scan(blocks, allowed) == expected, depth
 
     @pytest.mark.parametrize("ident", SCANNED)
     def test_one_tail_set_after_prefixes_of_every_length(self, ident):
@@ -546,7 +546,7 @@ class TestBlockScan:
         tails = tuple(core._walk(5))
         blocks = [(p, tails) for m in range(5) for p in core._walk(m)]
         expected = reference_scan((p + t for p, ts in blocks for t in ts), allowed)
-        assert scan._scan(blocks, allowed) == expected
+        assert identities._scan(blocks, allowed) == expected
 
     @pytest.mark.parametrize("ident", SCANNED)
     def test_unlike_tail_sets_after_prefixes_of_one_length(self, ident):
@@ -557,7 +557,7 @@ class TestBlockScan:
         unlike = (whole, whole[1:], whole[:-1])
         blocks = [(p, tails) for p in core._walk(2) for tails in unlike]
         expected = reference_scan((p + t for p, ts in blocks for t in ts), allowed)
-        assert scan._scan(blocks, allowed) == expected
+        assert identities._scan(blocks, allowed) == expected
 
     def test_rows_walk_at_the_depth_rule(self, monkeypatch):
         # the 14-board call: every board is walked with an 8-cell memo
@@ -572,13 +572,13 @@ class TestBlockScan:
         """Every board of one call is walked at one memo depth, one cell
         deeper than core._memo_depth gives its longest board, and every
         walk extends the same memo list."""
-        real, walked = scan._blocks, []
+        real, walked = identities._blocks, []
 
         def _blocks(n, allowed=None, memo=core._MEMO_CELLS, tails=None):
             walked.append((n, memo, tails))
             return real(n, allowed, memo, tails)
 
-        monkeypatch.setattr(scan, "_blocks", _blocks)
+        monkeypatch.setattr(identities, "_blocks", _blocks)
         assert verify(4, n_max, combinatorial=True).all_pass
         assert depth == core._memo_depth(n_max) + 1
         assert [(n, memo) for n, memo, _ in walked] == [
@@ -596,7 +596,7 @@ class TestBlockScan:
         blocks = [(p, tuple(list(tails))) for p, tails in core._blocks(9)]
         assert len({id(tails) for _, tails in blocks}) == len(blocks)
         expected = reference_scan(core._walk(9), allowed)
-        assert scan._scan(blocks, allowed) == expected
+        assert identities._scan(blocks, allowed) == expected
 
 
 class TestBlockFaults:
@@ -611,13 +611,13 @@ class TestBlockFaults:
 
     @staticmethod
     def faulty_row(monkeypatch, ident, rewrite):
-        real = scan._blocks
+        real = identities._blocks
 
         def _blocks(n, allowed=None, memo=core._MEMO_CELLS, tails=None):
             blocks = list(real(n, allowed, memo, tails))
             return iter(rewrite(blocks) if n == 9 else blocks)
 
-        monkeypatch.setattr(scan, "_blocks", _blocks)
+        monkeypatch.setattr(identities, "_blocks", _blocks)
         n = TestBlockFaults.ROW[ident]
         assert identities._IDENTITIES[ident].board(n) == 9
         return row_for(verify(ident, n, combinatorial=True), n)
@@ -687,10 +687,10 @@ def per_row_rows(ident: int, ns) -> list:
             rows.append(identities.IdentityRow(n, x.lhs, x.rhs, x.structure_ok))
             continue
         a = A.values(board)
-        expected, relevant = scan._predicted(record.restriction, board, a)
+        expected, relevant = identities._predicted(record.restriction, board, a)
         admitted = frozenset(core._candidates(board, record.restriction.allowed))
         blocks = core._blocks(board, None, core._memo_depth(board))
-        observed, scanned, ordered = scan._scan(blocks, admitted.__contains__)
+        observed, scanned, ordered = identities._scan(blocks, admitted.__contains__)
         binned = sum(observed.values())
         bins_ok = ordered and scanned == a[board] and (
             observed == expected and binned == relevant
@@ -717,7 +717,7 @@ class TestPerCallRows:
     def test_each_tail_set_is_censused_once_per_call(self, monkeypatch):
         # built a row at a time, every row censuses its own copy of the
         # same tail sets; one call censuses each of them once
-        real, handed, runs = scan._censused, {}, []
+        real, handed, runs = identities._censused, {}, []
 
         def _censused(blocks, census, store=None):
             def seen():
@@ -731,7 +731,7 @@ class TestPerCallRows:
 
             return real(seen(), counted, store)
 
-        monkeypatch.setattr(scan, "_censused", _censused)
+        monkeypatch.setattr(identities, "_censused", _censused)
         assert verify(4, 14, combinatorial=True).all_pass
         distinct = set(handed.values())  # equal tail sets count once
         assert len(runs) == len(distinct) == len(handed) > 1
@@ -775,7 +775,7 @@ class TestPerCallRows:
         # tuple it replaces, which an earlier row censused, its last tail
         # replaced by the one before it: the call-long store must give it a
         # census of its own, and the later rows their memo's
-        real, earlier = scan._blocks, set()
+        real, earlier = identities._blocks, set()
 
         def _blocks(n, allowed=None, memo=core._MEMO_CELLS, tails=None):
             blocks = list(real(n, allowed, memo, tails))
@@ -789,7 +789,7 @@ class TestPerCallRows:
                 earlier.update(id(ts) for _, ts in blocks)
             return iter(blocks)
 
-        monkeypatch.setattr(scan, "_blocks", _blocks)
+        monkeypatch.setattr(identities, "_blocks", _blocks)
         report = verify(4, 14, combinatorial=True)
         assert [r.n for r in report.rows] == list(range(15))
         assert [r.n for r in report.rows if not r.passed] == [11]
@@ -804,7 +804,7 @@ class TestLongBoards:
     def test_row_passes(self, ident, board):
         record = identities._IDENTITIES[ident]
         n = next(n for n in count(record.n_min) if record.board(n) == board)
-        (row,) = scan._combinatorial_rows(record, [n])
+        (row,) = identities._combinatorial_rows(record, [n])
         assert row.passed
         table = record.restriction.table
         # every tiling is binned but those the restriction admits throughout
