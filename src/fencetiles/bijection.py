@@ -25,7 +25,6 @@ from .core import (
     _TILING,
     InvalidTilingError,
     Tiling,
-    _Frozen,
     _blocks,
     _censused,
     _memo_depth,
@@ -195,49 +194,31 @@ def _preimage(copy: TargetCopy, e: str) -> str:
     return _contract_at_h(e, e.rfind("h"))  # a companion: b_map
 
 
-class CassiniAudit(_Frozen):
+class CassiniAudit(
+    namedtuple(
+        "CassiniAudit",
+        "n lhs rhs balanced exception_side exception_count structure_ok failure",
+        defaults=(None,),
+    )
+):
     """The audit's result: lhs = A_n + A_{n-2} by enumeration, rhs = 3
     A_{n-1} + 2 (-1)^n, and the exceptions on exception_side, "source" (n
     even) or "target" (n odd).  failure names the first failing check, with
     one source encoding where it has one; it is neither compared nor
-    hashed, so audits are equal by what they counted."""
+    hashed, so audits are equal by what they counted, and only to audits."""
 
-    def __init__(
-        self,
-        n: int,
-        lhs: int,
-        rhs: int,
-        balanced: bool,
-        exception_side: str,
-        exception_count: int,
-        structure_ok: bool,
-        failure: str | None = None,
-    ) -> None:
-        self.__dict__.update(
-            n=n,
-            lhs=lhs,
-            rhs=rhs,
-            balanced=balanced,
-            exception_side=exception_side,
-            exception_count=exception_count,
-            structure_ok=structure_ok,
-            failure=failure,
-        )
-
-    def _compared(self) -> tuple:  # every field but failure, stored last
-        return tuple(self.__dict__.values())[:-1]
+    __slots__ = ()
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
+        # False, not NotImplemented, for a non-audit: the reflected tuple
+        # equality would make the audit equal to the tuple of its fields
+        return isinstance(other, CassiniAudit) and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self) -> int:
-        return hash(self._compared())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
-        return f"{type(self).__qualname__}({fields})"
+        return hash(self[:-1])
 
 
 def _fault(enc: str, placement: tuple[TargetCopy, str] | None, size: int) -> str | None:

@@ -49,26 +49,14 @@ def _check_length(n: int) -> None:
         raise ValueError(f"board length must be non-negative, got {n}")
 
 
-class _Frozen:
-    """A value whose attributes cannot be set or deleted: its constructor
-    writes them into __dict__ directly."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Tiling(_Frozen):
+class Tiling:
     """A tiling of an n-board, held as its encoding split into metatiles.
 
     ``pieces`` are the metatile encodings from left to right and
     ``encoding`` is their concatenation, of length 2n.  The constructor
     trusts its pieces: build tilings from outside input with validate or
-    Tiling.from_placements.  Tilings are equal, and hash, by their pieces.
+    Tiling.from_placements.  Tilings are equal, and hash, by their pieces,
+    which cannot be set or deleted.
     """
 
     pieces: tuple[str, ...]
@@ -78,6 +66,12 @@ class Tiling(_Frozen):
         d = self.__dict__
         d["pieces"] = pieces
         d["encoding"] = "".join(pieces)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -18,7 +18,7 @@ alphabet by conditioning on the last metatile.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from operator import mul
+from operator import add, mul, sub
 
 from .core import _EVERY, Rule, _candidates, _check_length, _rule
 
@@ -42,28 +42,33 @@ class SequenceTable:
         self._terms = tuple(self.values(2 * len(self._coefficients) - 1))
 
     def value(self, n: int) -> int:
-        """a_n in O(log n) products (Fiduccia, "An efficient formula for
+        """a_n in O(log n) squares (Fiduccia, "An efficient formula for
         linear recurrences", SIAM J. Comput. 1985): p = x^(n//2) modulo the
         characteristic polynomial chi = x^d - c_1 x^(d-1) - ... - c_d by
-        square-and-multiply, each square taking every cross product once.
+        square-and-multiply.  Each square of p takes the d squares p_i^2 and
+        each cross product as 2 p_i p_j = (p_i + p_j)^2 - p_i^2 - p_j^2, so
+        every big product is a square.
 
         The last step never builds x^n (the Hankel form; Bostan & Mori, SOSA
-        2021): a_n = sum_i p_i sum_j a_(i+j+n%2) p_j, because the functional
+        2021): a_n = p^T H p, H = (a_(i+j+n%2)), because the functional
         x^k -> a_k vanishes on every multiple of chi (on x^j chi it is the
-        recurrence at a_(j+d)), and x^n = p^2 x^(n%2) modulo chi.  The inner
-        sums scale big ints by the small a_0 .. a_(2d-1), so the step makes
-        only d big products."""
+        recurrence at a_(j+d)), and x^n = p^2 x^(n%2) modulo chi.  Lagrange's
+        reduction of the small integer form H (_lagrange) gives
+        s a_n = sum_k e_k (w_k . p)^2, an identity of integer quadratic forms,
+        so the division by s is exact and the step makes at most d squares."""
         if n < 0:
             return 0
         c = self._coefficients
         d = len(c)
         power = [1] + [0] * (d - 1)
         for bit in bin(n >> 1)[2:]:
+            squares = [p * p for p in power]
             square = [0] * (2 * d - 1)
+            square[::2] = squares
             for i, p in enumerate(power):
-                square[2 * i] += p * p
                 for j in range(i + 1, d):
-                    square[i + j] += (p * power[j]) << 1
+                    q = p + power[j]
+                    square[i + j] += q * q - squares[i] - squares[j]
             if bit == "1":  # times x, before the one reduction
                 square.insert(0, 0)
             for k in range(len(square) - 1, d - 1, -1):
@@ -72,9 +77,8 @@ class SequenceTable:
                     square[k - i] += ci * top
             power = square
         a, b = self._terms, n & 1
-        return sum(
-            p * sum(map(mul, a[i + b : i + b + d], power)) for i, p in enumerate(power)
-        )
+        s, terms = _lagrange([a[i + b : i + b + d] for i in range(d)])
+        return sum(e * sum(map(mul, w, power)) ** 2 for e, w in terms) // s
 
     def values(self, n_max: int) -> list[int]:
         """[a_0, ..., a_{n_max}], running the recurrence into a fresh list."""
@@ -84,6 +88,39 @@ class SequenceTable:
         for m in range(len(vals), n_max + 1):
             vals.append(sum(map(mul, backwards, vals[m - d :])))
         return vals
+
+
+def _lagrange(form) -> tuple[int, list[tuple[int, list[int]]]]:
+    """Lagrange's reduction of the symmetric integer form Q(x) = x^T H x to
+    squares (Gantmacher, The Theory of Matrices I, ch. X): (s, [(e_k, w_k)])
+    with s Q(x) = sum_k e_k (w_k . x)^2 for every x, all over the integers.
+
+    A nonzero diagonal h = H_ii gives h Q = (H_i . x)^2 + Q', Q' of matrix
+    h H - H_i H_i^T; with every diagonal zero, h = H_ab != 0 gives
+    2h Q = ((H_a + H_b) . x)^2 - ((H_a - H_b) . x)^2 + Q'', Q'' of matrix
+    2h H - 2 (H_a H_b^T + H_b H_a^T).  Each step zeroes row and column i (a
+    and b) and multiplies s and the earlier e_k by h (2h); the zero form ends
+    it, after at most d squares."""
+    m = [list(row) for row in form]
+    s, terms = 1, []
+    while any(map(any, m)):
+        for i, row in enumerate(m):
+            if row[i]:
+                h, squares = row[i], [(1, row)]
+                m = [[h * x - ri * y for x, y in zip(r, row)] for r, ri in zip(m, row)]
+                break
+        else:  # a nonzero form with a zero diagonal has a nonzero H_ab
+            a, b = next((a, b) for a, row in enumerate(m) for b in range(a) if row[b])
+            ra, rb = m[a], m[b]
+            h = 2 * ra[b]
+            squares = [(1, list(map(add, ra, rb))), (-1, list(map(sub, ra, rb)))]
+            m = [
+                [h * x - 2 * (rai * rbj + rbi * raj) for x, raj, rbj in zip(r, ra, rb)]
+                for r, rai, rbi in zip(m, ra, rb)
+            ]
+        s *= h
+        terms = [(h * e, w) for e, w in terms] + squares
+    return s, terms
 
 
 FIB = SequenceTable("fib", (0, 1), (1, 1))
@@ -193,7 +230,7 @@ def t_via_sum_form(n: int) -> int:
 
 #: Largest n the CLI count evaluates, and the longest board it enumerates,
 #: under any filter, or lists: A_n has about 0.42 n digits, and at n = 10^6
-#: value takes 0.3-0.6 s and decimal 2.0-2.4 s (CPython 3.11.7, 2 shared
+#: value takes about 0.2 s and decimal 2.0-2.4 s (CPython 3.11.7, 2 shared
 #: cores); the walk keeps a piece per metatile, about 39 MB at 10^6 cells.
 MAX_COUNT_N = 1_000_000
 

@@ -748,7 +748,10 @@ class TestRecordValues:
         fields = (5, 73, 73, True, "target", 2, True)
         audit = CassiniAudit(*fields)
         assert audit != fields and audit != (*fields, None)
-        assert audit.__eq__(fields) is NotImplemented
+        # an answer, not NotImplemented: the tuple's own equality would
+        # otherwise make the audit equal to (*fields, None)
+        assert audit.__eq__((*fields, None)) is False
+        assert audit.__ne__((*fields, None)) is True
 
     def test_audit_repr_shows_the_failure(self):
         assert repr(cassini_audit(4)) == (

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -20,6 +21,7 @@ from fencetiles.sequences import (
     RESTRICTIONS,
     TABLES,
     SequenceTable,
+    _lagrange,
     a_via_sum_form,
     count_A,
     count_C,
@@ -668,6 +670,122 @@ class TestSequenceTable:
     @pytest.mark.parametrize("name", ["S", "C", "T"])
     def test_big_values_match_memo_oracle(self, name):
         assert TABLES[name].value(5000) == MemoTable(*RECURRENCES[name]).value(5000)
+
+
+def hankel_value(table: SequenceTable, n: int) -> int:
+    """Oracle for value at big n: the same p = x^(n//2) modulo chi, each
+    square by d squares and a product per cross term, and the Hankel
+    finish a_n = sum_i p_i sum_j a_(i+j+n%2) p_j by d products, no squares."""
+    if n < 0:
+        return 0
+    c = table._coefficients
+    d = len(c)
+    power = [1] + [0] * (d - 1)
+    for bit in bin(n >> 1)[2:]:
+        square = [0] * (2 * d - 1)
+        for i, p in enumerate(power):
+            square[2 * i] += p * p
+            for j in range(i + 1, d):
+                square[i + j] += (p * power[j]) << 1
+        if bit == "1":
+            square.insert(0, 0)
+        for k in range(len(square) - 1, d - 1, -1):
+            top = square.pop()
+            for i, ci in enumerate(c, 1):
+                square[k - i] += ci * top
+        power = square
+    a, b = table.values(2 * d - 1), n & 1
+    return sum(
+        p * sum(map(mul, a[i + b : i + b + d], power)) for i, p in enumerate(power)
+    )
+
+
+def hankel(table: SequenceTable, b: int) -> list[list[int]]:
+    """H_b = (a_(i+j+b))_(i,j<d), the form of value's last step at n % 2 = b."""
+    d = len(table._coefficients)
+    a = table.values(2 * d)
+    return [a[i + b : i + b + d] for i in range(d)]
+
+
+#: Tables the reduction must take apart beyond the named ones: "alt"
+#: (a_n = n mod 2) has H_0 = [[0, 1], [1, 0]], a zero diagonal, so Lagrange's
+#: second case; "zero" is the zero form, which leaves no square at all.
+HAND_BUILT = {
+    "alt": SequenceTable("alt", (0, 1), (0, 1)),
+    "zero": SequenceTable("zero", (0,), (1,)),
+}
+
+#: Every named table: the five of TABLES and the identities' own.
+NAMED = {
+    **TABLES,
+    **{
+        f"identity-{i}": ident.restriction.table
+        for i, ident in identities._IDENTITIES.items()
+        if ident.restriction is not None
+    },
+}
+
+
+class TestSquaresKernel:
+    """value makes only squares: the square step forms each cross product
+    from squares, and the finish is the Lagrange-reduced Hankel form.  The
+    product-and-Hankel finish it replaced is the big-n oracle."""
+
+    @pytest.mark.parametrize("n", [30000, 30001, 123457])
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_big_values_match_the_hankel_product_finish(self, name, n):
+        assert TABLES[name].value(n) == hankel_value(TABLES[name], n)
+
+    def test_every_rule_table_matches_its_values_and_the_oracle(self):
+        # value reads only the table's terms, so each of the 216 distinct
+        # tables of the 1,024 rules is checked once
+        tables = {}
+        for rule in EVERY_RULE:
+            table = sum_form(rule)
+            tables.setdefault((table._initial, table._coefficients), table)
+        assert len(tables) == 216
+        for key, table in tables.items():
+            assert [table.value(n) for n in range(81)] == table.values(80), key
+            for n in (1001, 2000):
+                assert table.value(n) == hankel_value(table, n), (key, n)
+
+    @pytest.mark.parametrize("name", sorted({**NAMED, **HAND_BUILT}))
+    def test_reduction_is_an_identity_of_forms(self, name):
+        # s p^T H p = sum_k e_k (w_k . p)^2 on random integer p, both parities
+        table = {**NAMED, **HAND_BUILT}[name]
+        rng = random.Random(name)
+        for b in (0, 1):
+            form = hankel(table, b)
+            s, terms = _lagrange(form)
+            assert s and len(terms) <= len(form)
+            for _ in range(50):
+                p = [rng.randint(-10**30, 10**30) for _ in form]
+                quadratic = sum(pi * sum(map(mul, row, p)) for pi, row in zip(p, form))
+                assert s * quadratic == sum(
+                    e * sum(map(mul, w, p)) ** 2 for e, w in terms
+                ), (b, p)
+
+    def test_zero_diagonal_takes_the_difference_of_two_squares(self):
+        form = hankel(HAND_BUILT["alt"], 0)
+        assert form == [[0, 1], [1, 0]]
+        s, terms = _lagrange(form)
+        # 2h Q = ((H_0 + H_1) . p)^2 - ((H_0 - H_1) . p)^2 with h = 1
+        assert (s, terms) == (2, [(1, [1, 1]), (-1, [1, -1])])
+
+    def test_zero_form_leaves_no_square(self):
+        assert hankel(HAND_BUILT["zero"], 0) == hankel(HAND_BUILT["zero"], 1) == [[0]]
+        assert _lagrange([[0]]) == (1, [])
+        assert _lagrange([[0, 0], [0, 0]]) == (1, [])
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_tables_match_their_values(self, name):
+        table = HAND_BUILT[name]
+        expected = table.values(VALUE_POINTS[-1])
+        assert [table.value(n) for n in VALUE_POINTS] == [
+            expected[n] for n in VALUE_POINTS
+        ]
+        period = {"alt": [0, 1], "zero": [0]}[name]
+        assert expected == [period[n % len(period)] for n in range(len(expected))]
 
 
 #: Integers for the decimal conversion, around the 256-digit pieces it cuts.
